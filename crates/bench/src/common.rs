@@ -1,7 +1,21 @@
 //! Shared setup for the reproduction experiments.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use vmp_core::prelude::*;
 use vmp_hypercube::topology::Cube;
+
+/// Mean host nanoseconds per call of `f` over `iters` calls, after one
+/// untimed warm-up call (pages in buffers, stabilises the allocator).
+pub fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
+    black_box(f());
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
 
 /// The CM-2-flavoured machine used throughout the reproduction.
 #[must_use]

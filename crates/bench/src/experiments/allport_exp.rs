@@ -19,9 +19,6 @@
 //! Results land in `BENCH_allport.json` (guarded; see
 //! [`crate::baseline`]) for regression tracking.
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use serde::Serialize;
 use vmp_hypercube::collective;
 use vmp_hypercube::cost::{Algo, Collective, CostModel};
@@ -30,7 +27,7 @@ use vmp_hypercube::slab::NodeSlab;
 use vmp_hypercube::topology::Cube;
 
 use crate::baseline::guarded_write;
-use crate::common::hash_entry;
+use crate::common::{hash_entry, time_ns};
 use crate::experiments::RunOpts;
 use crate::table::{fmt_us, Table};
 
@@ -126,15 +123,6 @@ fn run_collective(hc: &mut Hypercube, kind: Collective, dims: &[u32], seg: usize
         Collective::Scan => collective::scan_inclusive_slab(hc, &mut slab, dims, |a, b| a + b),
     }
     slab.data().to_vec()
-}
-
-fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    black_box(f()); // warm-up: page in buffers, stabilise the allocator
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// ALLPORT: simulated speedup of the all-port collective engine over the

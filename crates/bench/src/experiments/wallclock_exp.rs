@@ -22,9 +22,6 @@
 //! run or a stale re-run never silently replaces a good baseline
 //! without `--force`.
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use serde::Serialize;
 use vmp_algos::serial::SimplexStatus;
 use vmp_algos::{gauss, matvec, simplex, workloads};
@@ -35,7 +32,9 @@ use vmp_hypercube::slab::{NodeSlab, SegSlab};
 use vmp_hypercube::topology::Cube;
 
 use crate::baseline::guarded_write;
-use crate::common::{cm2, hash_entry, random_aligned_vector, random_dist_matrix, square_grid};
+use crate::common::{
+    cm2, hash_entry, random_aligned_vector, random_dist_matrix, square_grid, time_ns,
+};
 use crate::experiments::RunOpts;
 use crate::table::Table;
 
@@ -59,15 +58,6 @@ pub struct WallclockEntry {
     pub sim_us: f64,
     /// Host iterations timed.
     pub iters: usize,
-}
-
-fn time_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    black_box(f()); // warm-up: page in buffers, stabilise the allocator
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Nested per-node blocks for `layout` — the seed storage representation,

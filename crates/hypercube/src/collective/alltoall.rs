@@ -27,41 +27,51 @@ pub fn alltoall_slab<T: Copy>(hc: &mut Hypercube, send: &SegSlab<T>, dims: &[u32
     assert_eq!(send.p(), cube.nodes());
     assert_eq!(send.nseg(), blocks_per_node, "need one block per destination coordinate");
 
+    // Address tables: `dep[c]` is coordinate c's bits in node-address
+    // form, `coord[n]` node n's subcube coordinate.
+    let p = cube.nodes();
+    let all = cube.dims_mask(dims);
+    let dep: Vec<usize> = (0..blocks_per_node).map(|c| cube.deposit_coords(c, dims)).collect();
+    let mut coord = vec![0usize; p];
+    for base in super::nodes_matching(p, all, 0) {
+        for (c, &bits) in dep.iter().enumerate() {
+            coord[base | bits] = c;
+        }
+    }
+
+    let mut fwd = vec![0usize; p];
     for j in 0..k {
         let bit = 1usize << j;
         let chan = 1usize << dims[j];
         let low_mask = bit - 1;
         let mut max_fwd = 0usize;
         let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let my_c = cube.extract_coords(node, dims);
+        for (node, fwd_elems) in fwd.iter_mut().enumerate() {
+            let my_c = coord[node];
+            let base = node & !all;
             // Held blocks (s, d): s ≡ my_c on bits >= j, d ≡ my_c on
             // bits < j. Forwarded now: those whose d bit j differs.
-            let mut fwd_elems = 0usize;
+            *fwd_elems = 0;
             for s_low in 0..bit {
-                let s = (my_c & !low_mask) | s_low;
-                let src_node = cube.with_coords(node, s, dims);
+                let src_node = base | dep[(my_c & !low_mask) | s_low];
                 for d_high in 0..(1usize << (k - j - 1)) {
                     let d = (my_c & low_mask) | ((my_c ^ bit) & bit) | (d_high << (j + 1));
-                    fwd_elems += send.seg_len(src_node, d);
+                    *fwd_elems += send.seg_len(src_node, d);
                 }
             }
-            if fwd_elems > 0 {
-                pairs.push((node, node ^ chan));
-            }
-            max_fwd = max_fwd.max(fwd_elems);
-            total += fwd_elems as u64;
+            max_fwd = max_fwd.max(*fwd_elems);
+            total += *fwd_elems as u64;
         }
-        hc.charge_exchange_step(&pairs, max_fwd, total);
+        let sends = || (0..p).filter(|&n| fwd[n] > 0).map(|n| (n, n ^ chan)).collect();
+        hc.charge_exchange_step(sends, max_fwd, total);
     }
 
     // One placement pass: at each node, blocks indexed by source coord.
-    let mut out = SegSlab::with_capacity(blocks_per_node, cube.nodes(), send.total_len());
-    for node in cube.iter_nodes() {
-        let my_c = cube.extract_coords(node, dims);
-        for s in 0..blocks_per_node {
-            out.push_seg(send.seg(cube.with_coords(node, s, dims), my_c));
+    let mut out = SegSlab::with_capacity(blocks_per_node, p, send.total_len());
+    for (node, &my_c) in coord.iter().enumerate() {
+        let base = node & !all;
+        for &bits in &dep {
+            out.push_seg(send.seg(base | bits, my_c));
         }
     }
     out

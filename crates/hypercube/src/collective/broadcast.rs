@@ -34,48 +34,39 @@ pub fn broadcast_slab<T: Copy>(
         return;
     }
 
-    // Each node's subcube root and that root's buffer length — the only
-    // payload any informed node ever holds.
-    let root_of: Vec<usize> =
-        (0..slab.p()).map(|node| cube.with_coords(node, root_coord, dims)).collect();
+    // Every node's subcube root shares its bits outside `dims` and has
+    // `root_bits` on them; the roots' buffers are the only payload any
+    // informed node ever holds.
+    let p = slab.p();
+    let all = cube.dims_mask(dims);
+    let root_bits = cube.deposit_coords(root_coord, dims);
+    let root_of = |node: NodeId| (node & !all) | root_bits;
+    let (root_len, root_sum) =
+        super::nodes_matching(p, all, root_bits).fold((0usize, 0u64), |(max, sum), root| {
+            let len = slab.len_of(root);
+            (max.max(len), sum + len as u64)
+        });
 
-    let root_len = root_of.iter().map(|&r| slab.len_of(r)).max().unwrap_or(0);
     match hc.choose_algo(Collective::Broadcast, k, root_len) {
         Algo::SinglePort => {
+            // Step j: the 2^j informed members of every subcube (relative
+            // coordinate below 2^j) each send their root's buffer.
             for (j, &d) in dims.iter().enumerate() {
-                let bit = 1usize << j;
-                let mut transfers: Vec<(NodeId, NodeId)> = Vec::new();
-                let mut max_len = 0usize;
-                let mut total: u64 = 0;
-                for node in cube.iter_nodes() {
-                    let c = cube.extract_coords(node, dims);
-                    let x = c ^ root_coord;
-                    if x < bit {
-                        let partner = cube.neighbor(node, d);
-                        let len = slab.len_of(root_of[node]);
-                        max_len = max_len.max(len);
-                        total += len as u64;
-                        transfers.push((node, partner));
-                    }
-                }
-                hc.charge_exchange_step(&transfers, max_len, total);
+                let mask = cube.dims_mask(&dims[j..]);
+                let sends = super::sends_where(p, mask, root_bits & mask, 1usize << d);
+                hc.charge_exchange_step(sends, root_len, root_sum << j);
             }
         }
         Algo::AllPort { chunks } => {
-            let total: u64 = root_of
-                .iter()
-                .enumerate()
-                .filter(|&(node, &r)| node != r)
-                .map(|(_, &r)| slab.len_of(r) as u64)
-                .sum();
+            // Every non-root member receives its root's buffer once.
+            let total = root_sum * ((1u64 << k) - 1);
             allport::charge(hc, Collective::Broadcast, k, root_len, chunks, total);
         }
     }
 
-    let total_out: usize = root_of.iter().map(|&r| slab.len_of(r)).sum();
-    let mut out = NodeSlab::with_capacity(slab.p(), total_out);
-    for &root in &root_of {
-        out.push_seg(&slab[root]);
+    let mut out = NodeSlab::with_capacity(p, (root_sum << k) as usize);
+    for node in 0..p {
+        out.push_seg(&slab[root_of(node)]);
     }
     slab.swap(&mut out);
 }

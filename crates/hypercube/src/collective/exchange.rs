@@ -3,25 +3,12 @@
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
 
-/// Compute the exchange schedule: `(pairs, max_len, total)` from the
-/// per-node lengths, exactly as the seed implementation charged it.
-fn exchange_schedule(
-    p: usize,
-    bit: usize,
-    len_of: impl Fn(usize) -> usize,
-) -> (Vec<(usize, usize)>, usize, u64) {
-    let mut max_len = 0usize;
-    let mut total: u64 = 0;
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(p / 2);
-    for node in 0..p {
-        let len = len_of(node ^ bit);
-        max_len = max_len.max(len);
-        total += len as u64;
-        if node & bit == 0 {
-            pairs.push((node, node | bit));
-        }
-    }
-    (pairs, max_len, total)
+/// Charge one exchange superstep along `bit`: every node receives its
+/// partner's whole buffer, so the busiest channel carries the longest
+/// buffer and the machine moves every element once.
+fn charge_exchange(hc: &mut Hypercube, bit: usize, max_len: usize, total: usize) {
+    let p = hc.p();
+    hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total as u64);
 }
 
 /// Every node receives a copy of its `dim`-neighbour's buffer (keeping
@@ -40,9 +27,9 @@ pub fn exchange<T: Copy>(hc: &mut Hypercube, locals: &[Vec<T>], dim: u32) -> Vec
     assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
     assert_eq!(locals.len(), cube.nodes());
     let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| locals[n].len());
     let out: Vec<Vec<T>> = (0..cube.nodes()).map(|node| locals[node ^ bit].to_vec()).collect();
-    hc.charge_exchange_step(&pairs, max_len, total);
+    let max_len = locals.iter().map(Vec::len).max().unwrap_or(0);
+    charge_exchange(hc, bit, max_len, locals.iter().map(Vec::len).sum());
     out
 }
 
@@ -55,11 +42,12 @@ pub fn exchange_in_place<T>(hc: &mut Hypercube, locals: &mut [Vec<T>], dim: u32)
     assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
     assert_eq!(locals.len(), cube.nodes());
     let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| locals[n].len());
-    for &(lo, hi) in &pairs {
-        locals.swap(lo, hi);
+    let max_len = locals.iter().map(Vec::len).max().unwrap_or(0);
+    let total = locals.iter().map(Vec::len).sum();
+    for lo in super::nodes_matching(cube.nodes(), bit, 0) {
+        locals.swap(lo, lo | bit);
     }
-    hc.charge_exchange_step(&pairs, max_len, total);
+    charge_exchange(hc, bit, max_len, total);
 }
 
 /// As [`exchange_in_place`], over a flat [`NodeSlab`]: each segment ends
@@ -71,10 +59,11 @@ pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u
     assert!(dim < cube.dim(), "dimension {dim} out of range for cube of dim {}", cube.dim());
     assert_eq!(slab.p(), cube.nodes());
     let bit = 1usize << dim;
-    let (pairs, max_len, total) = exchange_schedule(cube.nodes(), bit, |n| slab.len_of(n));
-    if pairs.iter().all(|&(lo, hi)| slab.len_of(lo) == slab.len_of(hi)) {
-        for &(lo, hi) in &pairs {
-            let (a, b) = slab.pair_mut(lo, hi);
+    let (max_len, total) = (slab.max_seg_len(), slab.total_len());
+    let p = slab.p();
+    if super::nodes_matching(p, bit, 0).all(|lo| slab.len_of(lo) == slab.len_of(lo | bit)) {
+        for lo in super::nodes_matching(p, bit, 0) {
+            let (a, b) = slab.pair_mut(lo, lo | bit);
             a.swap_with_slice(b);
         }
     } else {
@@ -84,7 +73,7 @@ pub fn exchange_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dim: u
         }
         slab.swap(&mut out);
     }
-    hc.charge_exchange_step(&pairs, max_len, total);
+    charge_exchange(hc, bit, max_len, total);
 }
 
 #[cfg(test)]

@@ -37,18 +37,14 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     // Walk the recursive-doubling schedule from lengths alone (the
     // merged lengths are needed for the totals under every schedule);
     // charge per step only on the single-port path.
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    let p = slab.p();
+    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
     for &d in dims {
         let chan = 1usize << d;
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
+        for node in super::nodes_matching(p, chan, 0) {
             let partner = node | chan;
-            pairs.push((node, partner));
             let (lo_len, hi_len) = (lens[node], lens[partner]);
             max_len = max_len.max(lo_len.max(hi_len));
             total += (lo_len + hi_len) as u64;
@@ -57,7 +53,9 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
             lens[partner] = merged;
         }
         match algo {
-            Algo::SinglePort => hc.charge_exchange_step(&pairs, max_len, total),
+            Algo::SinglePort => {
+                hc.charge_exchange_step(super::sends_where(p, chan, 0, chan), max_len, total);
+            }
             Algo::AllPort { .. } => allport_total += total,
         }
     }
@@ -103,39 +101,32 @@ pub fn gather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[
     assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
 
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    let p = slab.p();
+    let all = cube.dims_mask(dims);
+    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
     for (j, &d) in dims.iter().enumerate() {
-        let bit = 1usize << j;
         let chan = 1usize << d;
+        // Senders this step: coordinate has bit j set, bits < j clear.
+        let mask = cube.dims_mask(&dims[..=j]);
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut sends: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            let c = cube.extract_coords(node, dims);
-            // Senders this step: coordinate has bit j set, bits < j clear.
-            if c & bit != 0 && c & (bit - 1) == 0 {
-                let dst = node ^ chan;
-                let len = lens[node];
-                max_len = max_len.max(len);
-                total += len as u64;
-                sends.push((node, dst));
-            }
-        }
-        for &(src, dst) in &sends {
-            lens[dst] += lens[src];
+        for src in super::nodes_matching(p, mask, chan) {
+            let len = lens[src];
+            max_len = max_len.max(len);
+            total += len as u64;
+            lens[src ^ chan] += len;
             lens[src] = 0;
         }
-        hc.charge_exchange_step(&sends, max_len, total);
+        hc.charge_exchange_step(super::sends_where(p, mask, chan, chan), max_len, total);
     }
     if k == 0 {
         return;
     }
 
-    let mut out = NodeSlab::with_capacity(slab.p(), slab.total_len());
-    for node in 0..slab.p() {
-        let c = cube.extract_coords(node, dims);
+    let mut out = NodeSlab::with_capacity(p, slab.total_len());
+    for node in 0..p {
         out.push_seg_with(|data| {
-            if c == 0 {
+            if node & all == 0 {
                 for cc in 0..(1usize << k) {
                     data.extend_from_slice(&slab[cube.with_coords(node, cc, dims)]);
                 }
@@ -178,10 +169,11 @@ pub fn scatter_slab<T: Copy>(
 
     // Per-root prefix sums over segment lengths; non-root nodes must be
     // empty.
-    let mut prefix: Vec<Vec<usize>> = vec![Vec::new(); cube.nodes()];
+    let p = cube.nodes();
+    let all = cube.dims_mask(dims);
+    let mut prefix: Vec<Vec<usize>> = vec![Vec::new(); p];
     for node in cube.iter_nodes() {
-        let c = cube.extract_coords(node, dims);
-        if c == 0 {
+        if node & all == 0 {
             let mut ps = Vec::with_capacity(nseg + 1);
             ps.push(0usize);
             for s in 0..nseg {
@@ -201,21 +193,17 @@ pub fn scatter_slab<T: Copy>(
     for j in (0..k).rev() {
         let bit = 1usize << j;
         let chan = 1usize << dims[j];
+        let mask = cube.dims_mask(&dims[..=j]);
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        let mut sends: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
+        for node in super::nodes_matching(p, mask, 0) {
             let c = cube.extract_coords(node, dims);
-            if c & ((bit << 1) - 1) == 0 {
-                let root = cube.with_coords(node, 0, dims);
-                let ps = &prefix[root];
-                let len = ps[c + (bit << 1)] - ps[c + bit];
-                max_len = max_len.max(len);
-                total += len as u64;
-                sends.push((node, node ^ chan));
-            }
+            let ps = &prefix[node & !all];
+            let len = ps[c + (bit << 1)] - ps[c + bit];
+            max_len = max_len.max(len);
+            total += len as u64;
         }
-        hc.charge_exchange_step(&sends, max_len, total);
+        hc.charge_exchange_step(super::sends_where(p, mask, 0, chan), max_len, total);
     }
 
     // One placement pass: coordinate c receives its root's segment c.

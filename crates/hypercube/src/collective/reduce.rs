@@ -40,29 +40,26 @@ pub fn reduce_slab<T: Copy>(
 
     // Live lengths: a sender's segment is logically consumed (the slab
     // keeps its stale bytes until the final compaction).
-    let mut lens: Vec<usize> = (0..slab.p()).map(|n| slab.len_of(n)).collect();
+    let p = slab.p();
+    let root_bits = cube.deposit_coords(root_coord, dims);
+    let mut lens: Vec<usize> = (0..p).map(|n| slab.len_of(n)).collect();
     for j in (0..k).rev() {
-        let bit = 1usize << j;
-        // Senders: relative coordinate x in [2^j, 2^{j+1}).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        // Senders: relative coordinate x in [2^j, 2^{j+1}), i.e. bit j set
+        // and every higher coordinate bit equal to the root's.
+        let mask = cube.dims_mask(&dims[j..]);
+        let chan = 1usize << dims[j];
+        let bits = (root_bits & mask) ^ chan;
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        for node in cube.iter_nodes() {
-            let x = cube.extract_coords(node, dims) ^ root_coord;
-            if x >= bit && x < bit << 1 {
-                let partner = cube.neighbor(node, dims[j]);
-                let len = lens[node];
-                max_len = max_len.max(len);
-                total += len as u64;
-                pairs.push((node, partner));
-            }
-        }
-        for &(src, dst) in &pairs {
+        for src in super::nodes_matching(p, mask, bits) {
+            let dst = src ^ chan;
             let sent_len = lens[src];
             assert_eq!(
                 sent_len, lens[dst],
                 "reduce requires equal buffer lengths within a subcube"
             );
+            max_len = max_len.max(sent_len);
+            total += sent_len as u64;
             lens[src] = 0;
             let (s, d) = slab.pair_mut(src, dst);
             for (acc, &v) in d[..sent_len].iter_mut().zip(&s[..sent_len]) {
@@ -71,7 +68,7 @@ pub fn reduce_slab<T: Copy>(
         }
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total);
+                hc.charge_exchange_step(super::sends_where(p, mask, bits, chan), max_len, total);
                 hc.charge_flops(max_len);
             }
             Algo::AllPort { .. } => allport_total += total,
@@ -138,41 +135,42 @@ pub fn allreduce_slab<T: Copy>(
     // loop but without per-pair offset lookups.
     let uniform = slab.uniform_seg_len().filter(|&l| l > 0);
 
+    let p = slab.p();
     for &d in dims {
         let bit = 1usize << d;
-        let mut max_len = 0usize;
-        let mut total: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        // Process each pair once: the node with the d-bit clear drives.
-        for node in cube.iter_nodes() {
-            if node & bit != 0 {
-                continue;
+        let (max_len, total) = match uniform {
+            Some(l) => {
+                slab.butterfly_combine(bit, &op);
+                (l, (p * l) as u64)
             }
-            let partner = node | bit;
-            pairs.push((node, partner));
-            assert_eq!(
-                slab.len_of(node),
-                slab.len_of(partner),
-                "allreduce requires equal buffer lengths within a subcube"
-            );
-            let len = slab.len_of(node);
-            max_len = max_len.max(len);
-            total += 2 * len as u64;
-            if uniform.is_none() {
-                let (lo, hi) = slab.pair_mut(node, partner);
-                for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let combined = op(*a, *b);
-                    *a = combined;
-                    *b = combined;
+            None => {
+                // Process each pair once: the node with the d-bit clear
+                // drives.
+                let mut max_len = 0usize;
+                let mut total: u64 = 0;
+                for node in super::nodes_matching(p, bit, 0) {
+                    let partner = node | bit;
+                    assert_eq!(
+                        slab.len_of(node),
+                        slab.len_of(partner),
+                        "allreduce requires equal buffer lengths within a subcube"
+                    );
+                    let len = slab.len_of(node);
+                    max_len = max_len.max(len);
+                    total += 2 * len as u64;
+                    let (lo, hi) = slab.pair_mut(node, partner);
+                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                        let combined = op(*a, *b);
+                        *a = combined;
+                        *b = combined;
+                    }
                 }
+                (max_len, total)
             }
-        }
-        if uniform.is_some() {
-            slab.butterfly_combine(bit, &op);
-        }
+        };
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total);
+                hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total);
                 hc.charge_flops(max_len);
             }
             Algo::AllPort { .. } => allport_total += total,

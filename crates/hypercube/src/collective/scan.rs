@@ -35,19 +35,13 @@ fn butterfly_steps<T: Copy>(
     algo: Algo,
 ) -> u64 {
     let mut skipped_total: u64 = 0;
-    let cube = hc.cube();
-    for (j, &d) in dims.iter().enumerate().skip(start) {
-        let bit_in_coord = 1usize << j;
+    let p = hc.p();
+    for &d in dims.iter().skip(start) {
         let chan = 1usize << d;
         let mut max_len = 0usize;
         let mut total_elems: u64 = 0;
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
+        for node in super::nodes_matching(p, chan, 0) {
             let partner = node | chan;
-            pairs.push((node, partner));
             let len = totals.len_of(node);
             assert_eq!(len, totals.len_of(partner), "scan requires equal buffer lengths");
             max_len = max_len.max(len);
@@ -58,8 +52,6 @@ fn butterfly_steps<T: Copy>(
 
             // The node whose coordinate bit j is 1 is "upper": the lower
             // node's total is a prefix for it.
-            let node_coord = cube.extract_coords(node, dims);
-            debug_assert_eq!(node_coord & bit_in_coord, 0);
             for i in 0..len {
                 let lo_v = lo_total[i];
                 let hi_v = hi_total[i];
@@ -72,7 +64,7 @@ fn butterfly_steps<T: Copy>(
         }
         match algo {
             Algo::SinglePort => {
-                hc.charge_exchange_step(&pairs, max_len, total_elems);
+                hc.charge_exchange_step(super::sends_where(p, chan, 0, chan), max_len, total_elems);
                 hc.charge_flops(2 * max_len);
             }
             Algo::AllPort { .. } => skipped_total += total_elems,
@@ -109,16 +101,12 @@ pub fn scan_inclusive_slab<T: Copy>(
     // the upper prefix is op(lo, hi) too — so the totals slab is built
     // fresh (no input copy), then the upper prefixes are combined in
     // place.
+    let p = slab.p();
     let chan0 = 1usize << dims[0];
     let mut max_len = 0usize;
     let mut total_elems: u64 = 0;
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for node in cube.iter_nodes() {
-        if node & chan0 != 0 {
-            continue;
-        }
+    for node in super::nodes_matching(p, chan0, 0) {
         let partner = node | chan0;
-        pairs.push((node, partner));
         let len = slab.len_of(node);
         assert_eq!(len, slab.len_of(partner), "scan requires equal buffer lengths");
         max_len = max_len.max(len);
@@ -132,8 +120,8 @@ pub fn scan_inclusive_slab<T: Copy>(
             data.extend(lo.iter().zip(hi).map(|(&x, &y)| op(x, y)));
         });
     }
-    for &(lo, hi) in &pairs {
-        let (lo_s, hi_s) = slab.pair_mut(lo, hi);
+    for lo in super::nodes_matching(p, chan0, 0) {
+        let (lo_s, hi_s) = slab.pair_mut(lo, lo | chan0);
         for (x, y) in lo_s.iter().zip(hi_s.iter_mut()) {
             *y = op(*x, *y);
         }
@@ -141,7 +129,7 @@ pub fn scan_inclusive_slab<T: Copy>(
     let mut skipped_total: u64 = 0;
     match algo {
         Algo::SinglePort => {
-            hc.charge_exchange_step(&pairs, max_len, total_elems);
+            hc.charge_exchange_step(super::sends_where(p, chan0, 0, chan0), max_len, total_elems);
             hc.charge_flops(2 * max_len);
         }
         Algo::AllPort { .. } => skipped_total += total_elems,

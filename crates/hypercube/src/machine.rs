@@ -21,6 +21,34 @@ use crate::counters::Counters;
 use crate::fault::{FaultPlan, ResilientConfig};
 use crate::topology::{Cube, NodeId};
 
+/// The `(src, dst)` transfers of one exchange superstep, as
+/// [`Hypercube::charge_exchange_step`] takes them. Only a machine with
+/// live fault state looks at individual transfers, so the list may come
+/// pre-built (a slice or `Vec` reference) or as a closure that builds it
+/// on demand.
+pub trait StepPairs {
+    /// Run `f` over the transfers.
+    fn with_pairs<R>(self, f: impl FnOnce(&[(NodeId, NodeId)]) -> R) -> R;
+}
+
+impl StepPairs for &[(NodeId, NodeId)] {
+    fn with_pairs<R>(self, f: impl FnOnce(&[(NodeId, NodeId)]) -> R) -> R {
+        f(self)
+    }
+}
+
+impl StepPairs for &Vec<(NodeId, NodeId)> {
+    fn with_pairs<R>(self, f: impl FnOnce(&[(NodeId, NodeId)]) -> R) -> R {
+        f(self)
+    }
+}
+
+impl<F: FnOnce() -> Vec<(NodeId, NodeId)>> StepPairs for F {
+    fn with_pairs<R>(self, f: impl FnOnce(&[(NodeId, NodeId)]) -> R) -> R {
+        f(&self())
+    }
+}
+
 /// Fault-injection state installed on a machine: the plan, the recovery
 /// policy, and the logical→physical host map used for graceful
 /// degradation after node failures.
@@ -34,6 +62,13 @@ struct FaultCtx {
     /// Max logical nodes per physical host (1 = no degradation); local
     /// compute supersteps serialize by this factor.
     load_factor: usize,
+}
+
+impl FaultCtx {
+    /// A non-empty plan, or degradation remaps doubling up hosts.
+    fn is_live(&self) -> bool {
+        !self.plan.is_empty() || self.load_factor > 1
+    }
 }
 
 /// A simulated Boolean-cube multiprocessor: topology + cost accounting.
@@ -116,7 +151,7 @@ impl Hypercube {
     #[inline]
     #[must_use]
     pub fn live_faults(&self) -> bool {
-        self.fault.as_deref().is_some_and(|ctx| !ctx.plan.is_empty() || ctx.load_factor > 1)
+        self.fault.as_deref().is_some_and(FaultCtx::is_live)
     }
 
     /// Choose the schedule for one collective call over `k` dimensions
@@ -289,12 +324,14 @@ impl Hypercube {
         self.counters.max_channel_load = self.counters.max_channel_load.max(max_per_channel as u64);
     }
 
-    /// Charge one blocked message superstep over the explicit set of
-    /// `(src, dst)` transfer `pairs` — the fault-aware variant of
+    /// Charge one blocked message superstep over the set of `(src, dst)`
+    /// transfer `pairs` — the fault-aware variant of
     /// [`Hypercube::charge_message_step`] used by every collective.
     ///
-    /// Without installed fault state this delegates to the plain charge
-    /// (identical clock and counters — zero overhead). With fault state:
+    /// Without live fault state ([`Hypercube::live_faults`]) this is the
+    /// plain charge (identical clock and counters — zero overhead) and
+    /// `pairs` is never built: callers pass a closure producing the list,
+    /// or a slice they hold anyway. With live fault state:
     ///
     /// * pairs mapped to the same physical host by degradation are
     ///   local copies, not channel traffic;
@@ -311,14 +348,30 @@ impl Hypercube {
     /// so a given program and plan replay identically.
     pub fn charge_exchange_step(
         &mut self,
+        pairs: impl StepPairs,
+        max_per_channel: usize,
+        total_elements: u64,
+    ) {
+        match self.fault.take() {
+            Some(ctx) if ctx.is_live() => pairs.with_pairs(|pairs| {
+                self.charge_faulted_step(ctx, pairs, max_per_channel, total_elements);
+            }),
+            idle => {
+                self.fault = idle;
+                self.charge_message_step(max_per_channel, total_elements);
+            }
+        }
+    }
+
+    /// The live-fault arm of [`Hypercube::charge_exchange_step`]; puts
+    /// `ctx` back on the machine when done.
+    fn charge_faulted_step(
+        &mut self,
+        ctx: Box<FaultCtx>,
         pairs: &[(NodeId, NodeId)],
         max_per_channel: usize,
         total_elements: u64,
     ) {
-        let Some(ctx) = self.fault.take() else {
-            self.charge_message_step(max_per_channel, total_elements);
-            return;
-        };
         let step = self.counters.message_steps;
 
         // Physical channels in use after the degradation host map,
@@ -544,7 +597,7 @@ mod tests {
         let mut resil = Hypercube::new(3, CostModel::unit());
         let pairs = [(0usize, 1usize), (2, 3)];
         plain.charge_message_step(6, 12);
-        resil.charge_exchange_step(&pairs, 6, 12);
+        resil.charge_exchange_step(&pairs[..], 6, 12);
         assert_eq!(plain.elapsed_us(), resil.elapsed_us());
         assert_eq!(plain.counters(), resil.counters());
     }
@@ -557,8 +610,8 @@ mod tests {
         resil.install_faults(FaultPlan::none(17), ResilientConfig::default());
         for i in 0..10usize {
             let pairs = [(i % 8, (i % 8) ^ 1)];
-            plain.charge_exchange_step(&pairs, 4, 4);
-            resil.charge_exchange_step(&pairs, 4, 4);
+            plain.charge_exchange_step(&pairs[..], 4, 4);
+            resil.charge_exchange_step(&pairs[..], 4, 4);
         }
         assert_eq!(plain.elapsed_us(), resil.elapsed_us());
         assert_eq!(plain.counters(), resil.counters());
@@ -569,7 +622,7 @@ mod tests {
         use crate::fault::{FaultPlan, ResilientConfig};
         let mut hc = Hypercube::new(3, CostModel::unit());
         hc.install_faults(FaultPlan::none(1).with_link_fault(0, 1, 0), ResilientConfig::default());
-        hc.charge_exchange_step(&[(0, 1)], 5, 5);
+        hc.charge_exchange_step(&[(0, 1)][..], 5, 5);
         assert_eq!(hc.counters().reroutes, 1);
         assert_eq!(hc.counters().detour_hops, 2);
         // Base superstep + two detour hops, each alpha + 5*beta.
@@ -583,7 +636,7 @@ mod tests {
         let mut hc = Hypercube::new(3, CostModel::unit());
         let cfg = ResilientConfig { max_retries: 2, backoff_us: 1.0, ..Default::default() };
         hc.install_faults(FaultPlan::none(1).with_drops(1.0, 0, u64::MAX), cfg);
-        hc.charge_exchange_step(&[(0, 1)], 2, 2);
+        hc.charge_exchange_step(&[(0, 1)][..], 2, 2);
         // rate 1.0 drops every attempt: 2 retries then detour escalation.
         assert_eq!(hc.counters().retries, 2);
         assert_eq!(hc.counters().transient_drops, 3, "initial try + 2 retries all dropped");
@@ -605,7 +658,7 @@ mod tests {
         assert_eq!(hc.load_factor(), 2);
         assert_eq!(hc.counters().node_remaps, 1);
         // Traffic 1<->3 is now co-hosted: a local-move superstep.
-        hc.charge_exchange_step(&[(1, 3)], 4, 4);
+        hc.charge_exchange_step(&[(1, 3)][..], 4, 4);
         assert_eq!(hc.counters().message_steps, 0);
         assert_eq!(hc.counters().local_moves, 4);
         // Compute serializes 2x on the doubled-up host.

@@ -86,39 +86,53 @@ pub fn route_blocks<T>(hc: &mut Hypercube, outgoing: Vec<Vec<Block<T>>>) -> Vec<
 }
 
 /// One fault-free e-cube sweep: resolves every block in `d` supersteps.
+///
+/// Only nodes holding a block that is not home yet do any work, and one
+/// move buffer is reused across dimensions. Each node ends a step with
+/// the blocks that stay (in their order) followed by the arrivals from
+/// its single `d`-neighbour (in the sender's order).
 fn plain_sweep<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
     let cube = hc.cube();
-    let p = cube.nodes();
+    let away = |node: NodeId, held: &[Block<T>]| held.iter().any(|b| b.dst != node);
+    let mut active: Vec<NodeId> =
+        (0..in_flight.len()).filter(|&node| away(node, &in_flight[node])).collect();
+    let mut moving: Vec<(NodeId, Block<T>)> = Vec::new();
+    let mut scratch: Vec<Block<T>> = Vec::new();
     for d in cube.iter_dims() {
+        if active.is_empty() {
+            break;
+        }
         let bit = 1usize << d;
-        // Split each node's holdings into (stay, forward-along-d).
         let mut max_fwd_elems = 0usize;
         let mut total_fwd_elems: u64 = 0;
-        let mut any = false;
-        let mut forwarded: Vec<Vec<Block<T>>> = (0..p).map(|_| Vec::new()).collect();
-        for node in 0..p {
-            let held = std::mem::take(&mut in_flight[node]);
-            let mut stay = Vec::with_capacity(held.len());
+        for &node in &active {
+            let held = &mut in_flight[node];
+            if held.iter().all(|b| (b.dst ^ node) & bit == 0) {
+                continue;
+            }
             let mut fwd_elems = 0usize;
-            for b in held {
+            scratch.append(held);
+            for b in scratch.drain(..) {
                 if (b.dst ^ node) & bit != 0 {
                     fwd_elems += b.data.len();
-                    forwarded[node ^ bit].push(b);
+                    moving.push((node ^ bit, b));
                 } else {
-                    stay.push(b);
+                    held.push(b);
                 }
             }
-            in_flight[node] = stay;
-            if fwd_elems > 0 {
-                any = true;
-                max_fwd_elems = max_fwd_elems.max(fwd_elems);
-                total_fwd_elems += fwd_elems as u64;
+            max_fwd_elems = max_fwd_elems.max(fwd_elems);
+            total_fwd_elems += fwd_elems as u64;
+        }
+        active.retain(|&node| away(node, &in_flight[node]));
+        for (dst, b) in moving.drain(..) {
+            if b.dst != dst {
+                active.push(dst);
             }
+            in_flight[dst].push(b);
         }
-        for (node, mut arr) in forwarded.into_iter().enumerate() {
-            in_flight[node].append(&mut arr);
-        }
-        if any {
+        active.sort_unstable();
+        active.dedup();
+        if max_fwd_elems > 0 {
             hc.charge_message_step(max_fwd_elems, total_fwd_elems);
         }
     }
@@ -354,6 +368,24 @@ mod tests {
         // Everyone except node 0 posted one block.
         let values: Vec<usize> = arrived[0].iter().map(|b| b.data[0]).collect();
         assert_eq!(values, (0..p).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn equal_tags_arrive_in_routing_order() {
+        // Every node sends to node 5 under one tag (node 6 sends two
+        // blocks), so the stable tag sort keeps the e-cube arrival order:
+        // at each step a node keeps what stays, then appends its
+        // neighbour's forwarded blocks in the neighbour's order.
+        let mut hc = machine(3);
+        let mut out: Vec<Vec<Block<u32>>> = hc.empty_locals();
+        for (node, list) in out.iter_mut().enumerate() {
+            list.push(Block::new(5, 7, vec![node as u32 * 10]));
+        }
+        out[6].push(Block::new(5, 7, vec![61]));
+        let arrived = route_blocks(&mut hc, out);
+        let order: Vec<u32> = arrived[5].iter().map(|b| b.data[0]).collect();
+        assert_eq!(order, vec![50, 40, 70, 60, 61, 10, 0, 30, 20]);
+        assert!(arrived.iter().enumerate().all(|(n, l)| n == 5 || l.is_empty()));
     }
 
     #[test]

@@ -24,14 +24,28 @@ pub enum GridEncoding {
     Gray,
 }
 
+/// Every cube dimension, in order: the grid's dim sets are sub-slices.
+static DIMS: [u32; 64] = {
+    let mut t = [0u32; 64];
+    let mut i = 0;
+    while i < 64 {
+        t[i] = i as u32;
+        i += 1;
+    }
+    t
+};
+
 /// A `2^{d_r} x 2^{d_c}` processor grid over a Boolean cube.
+///
+/// The grid-column index occupies the low cube dims `0..d_c` and the
+/// grid-row index the high dims `d_c..d`, so a node address is
+/// `encode(gr) << d_c | encode(gc)` and coordinates are a shift, a mask
+/// and a Gray code away.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProcGrid {
     dim: u32,
-    /// Cube dims encoding the grid-*column* index (low dims by convention).
-    col_dims: Vec<u32>,
-    /// Cube dims encoding the grid-*row* index (high dims).
-    row_dims: Vec<u32>,
+    /// `d_c`: the number of (low) cube dims encoding the grid-column index.
+    dc: u32,
     encoding: GridEncoding,
 }
 
@@ -51,8 +65,7 @@ impl ProcGrid {
     pub fn with_encoding(cube: Cube, dr: u32, encoding: GridEncoding) -> Self {
         let d = cube.dim();
         assert!(dr <= d, "row dimension {dr} exceeds cube dimension {d}");
-        let dc = d - dr;
-        ProcGrid { dim: d, col_dims: (0..dc).collect(), row_dims: (dc..d).collect(), encoding }
+        ProcGrid { dim: d, dc: d - dr, encoding }
     }
 
     /// The squarest grid on `cube`: `ceil(d/2)` row dims.
@@ -68,47 +81,56 @@ impl ProcGrid {
     }
 
     /// Number of grid rows `2^{d_r}`.
+    #[inline]
     #[must_use]
     pub fn pr(&self) -> usize {
-        1usize << self.row_dims.len()
+        1usize << self.dr()
     }
 
     /// Number of grid columns `2^{d_c}`.
+    #[inline]
     #[must_use]
     pub fn pc(&self) -> usize {
-        1usize << self.col_dims.len()
+        1usize << self.dc
     }
 
     /// `d_r`.
+    #[inline]
     #[must_use]
     pub fn dr(&self) -> u32 {
-        self.row_dims.len() as u32
+        self.dim - self.dc
     }
 
     /// `d_c`.
+    #[inline]
     #[must_use]
     pub fn dc(&self) -> u32 {
-        self.col_dims.len() as u32
+        self.dc
     }
 
     /// Total processors `p`.
+    #[inline]
     #[must_use]
     pub fn p(&self) -> usize {
         1usize << self.dim
     }
 
-    /// Cube dims encoding the grid-row index. Collectives **along a grid
-    /// column** (combining different grid rows) run over these dims.
+    /// Cube dims encoding the grid-row index, `d_c..d`. Collectives
+    /// **along a grid column** (combining different grid rows) run over
+    /// these dims.
+    #[inline]
     #[must_use]
-    pub fn row_dims(&self) -> &[u32] {
-        &self.row_dims
+    pub fn row_dims(&self) -> &'static [u32] {
+        &DIMS[self.dc as usize..self.dim as usize]
     }
 
-    /// Cube dims encoding the grid-column index. Collectives **along a
-    /// grid row** (combining different grid columns) run over these dims.
+    /// Cube dims encoding the grid-column index, `0..d_c`. Collectives
+    /// **along a grid row** (combining different grid columns) run over
+    /// these dims.
+    #[inline]
     #[must_use]
-    pub fn col_dims(&self) -> &[u32] {
-        &self.col_dims
+    pub fn col_dims(&self) -> &'static [u32] {
+        &DIMS[..self.dc as usize]
     }
 
     /// The coordinate encoding in force.
@@ -117,6 +139,7 @@ impl ProcGrid {
         self.encoding
     }
 
+    #[inline]
     fn encode(&self, x: usize) -> usize {
         match self.encoding {
             GridEncoding::Binary => x,
@@ -124,6 +147,7 @@ impl ProcGrid {
         }
     }
 
+    #[inline]
     fn decode(&self, x: usize) -> usize {
         match self.encoding {
             GridEncoding::Binary => x,
@@ -132,26 +156,25 @@ impl ProcGrid {
     }
 
     /// The node at grid position `(gr, gc)`.
+    #[inline]
     #[must_use]
     pub fn node_at(&self, gr: usize, gc: usize) -> NodeId {
         debug_assert!(gr < self.pr(), "grid row {gr} out of range");
         debug_assert!(gc < self.pc(), "grid col {gc} out of range");
-        let cube = self.cube();
-        cube.deposit_coords(self.encode(gr), &self.row_dims)
-            | cube.deposit_coords(self.encode(gc), &self.col_dims)
+        (self.encode(gr) << self.dc) | self.encode(gc)
     }
 
     /// The grid position `(gr, gc)` of `node`.
+    #[inline]
     #[must_use]
     pub fn grid_coords(&self, node: NodeId) -> (usize, usize) {
-        let cube = self.cube();
-        let gr = self.decode(cube.extract_coords(node, &self.row_dims));
-        let gc = self.decode(cube.extract_coords(node, &self.col_dims));
-        (gr, gc)
+        debug_assert!(node < self.p(), "node {node} out of range");
+        (self.decode(node >> self.dc), self.decode(node & (self.pc() - 1)))
     }
 
     /// The *subcube coordinate* (packed address bits at `row_dims`) of
     /// grid row `gr` — what collectives take as a root coordinate.
+    #[inline]
     #[must_use]
     pub fn row_coord(&self, gr: usize) -> usize {
         debug_assert!(gr < self.pr());
@@ -159,6 +182,7 @@ impl ProcGrid {
     }
 
     /// The subcube coordinate of grid column `gc`.
+    #[inline]
     #[must_use]
     pub fn col_coord(&self, gc: usize) -> usize {
         debug_assert!(gc < self.pc());
@@ -197,6 +221,35 @@ mod tests {
                         }
                     }
                     assert!(seen.into_iter().all(|b| b), "grid covers the cube");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_at_matches_the_dims_definition() {
+        // The shift/mask fast path must place every grid position exactly
+        // where depositing the encoded coordinates at `row_dims()` and
+        // `col_dims()` does — the addressing the collectives use.
+        for dim in 0..=10u32 {
+            let cube = Cube::new(dim);
+            for dr in 0..=dim {
+                for enc in [GridEncoding::Binary, GridEncoding::Gray] {
+                    let g = ProcGrid::with_encoding(cube, dr, enc);
+                    let encode = |x: usize| match enc {
+                        GridEncoding::Binary => x,
+                        GridEncoding::Gray => gray(x),
+                    };
+                    for gr in 0..g.pr() {
+                        for gc in 0..g.pc() {
+                            let want = cube.deposit_coords(encode(gr), g.row_dims())
+                                | cube.deposit_coords(encode(gc), g.col_dims());
+                            assert_eq!(g.node_at(gr, gc), want, "dim {dim} dr {dr} {enc:?}");
+                            assert_eq!(g.grid_coords(want), (gr, gc));
+                            assert_eq!(cube.extract_coords(want, g.row_dims()), g.row_coord(gr));
+                            assert_eq!(cube.extract_coords(want, g.col_dims()), g.col_coord(gc));
+                        }
+                    }
                 }
             }
         }

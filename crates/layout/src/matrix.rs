@@ -85,6 +85,7 @@ impl MatrixLayout {
     }
 
     /// Local block dimensions `(local_rows, local_cols)` at `node`.
+    #[inline]
     #[must_use]
     pub fn local_shape(&self, node: NodeId) -> (usize, usize) {
         let (gr, gc) = self.grid.grid_coords(node);
@@ -92,6 +93,7 @@ impl MatrixLayout {
     }
 
     /// Number of local elements at `node`.
+    #[inline]
     #[must_use]
     pub fn local_len(&self, node: NodeId) -> usize {
         let (lr, lc) = self.local_shape(node);

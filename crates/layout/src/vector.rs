@@ -113,6 +113,7 @@ impl VectorLayout {
     /// The chunk *part* a node is associated with (its grid column for
     /// row vectors, grid row for column vectors, node id for linear) —
     /// regardless of whether the node currently holds data.
+    #[inline]
     #[must_use]
     pub fn part_of(&self, node: NodeId) -> usize {
         match &self.embedding {
@@ -128,6 +129,7 @@ impl VectorLayout {
     }
 
     /// Whether `node` holds its chunk under this embedding.
+    #[inline]
     #[must_use]
     pub fn holds(&self, node: NodeId) -> bool {
         match &self.embedding {
@@ -147,6 +149,7 @@ impl VectorLayout {
 
     /// Expected local chunk length at `node` (0 where the node holds
     /// nothing).
+    #[inline]
     #[must_use]
     pub fn local_len(&self, node: NodeId) -> usize {
         if self.holds(node) {

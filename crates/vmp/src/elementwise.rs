@@ -23,7 +23,7 @@
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, MatrixLayout};
+use vmp_layout::{Axis, AxisDist, MatrixLayout};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
@@ -40,6 +40,40 @@ fn index_tables(layout: &MatrixLayout, node: usize) -> (Vec<usize>, Vec<usize>) 
     let gi = (0..lr).map(|li| layout.rows().global_index(gr, li)).collect();
     let gj = (0..lc).map(|lj| layout.cols().global_index(gc, lj)).collect();
     (gi, gj)
+}
+
+/// The local slot window of a global index range on every part of an
+/// axis distribution, with the global index of each slot in the window.
+struct Windows {
+    /// Per part: its slot window, its slot count, and where its global
+    /// indices start in `global`.
+    parts: Vec<(std::ops::Range<usize>, usize, usize)>,
+    global: Vec<usize>,
+}
+
+impl Windows {
+    fn new(dist: &AxisDist, range: std::ops::Range<usize>) -> Self {
+        let mut parts = Vec::with_capacity(dist.parts());
+        let mut global = Vec::new();
+        for t in 0..dist.parts() {
+            let window = dist.local_slot_range(t, range.start, range.end);
+            parts.push((window.clone(), dist.count(t), global.len()));
+            global.extend(window.map(|slot| dist.global_index(t, slot)));
+        }
+        Windows { parts, global }
+    }
+
+    /// The widest window.
+    fn max_len(&self) -> usize {
+        self.parts.iter().map(|(window, _, _)| window.len()).max().unwrap_or(0)
+    }
+
+    /// Part `t`'s slot window, its slot count, and the global indices in
+    /// the window.
+    fn part(&self, t: usize) -> (std::ops::Range<usize>, usize, &[usize]) {
+        let (window, count, at) = &self.parts[t];
+        (window.clone(), *count, &self.global[*at..*at + window.len()])
+    }
 }
 
 impl<T: Scalar> DistMatrix<T> {
@@ -270,31 +304,24 @@ impl<T: Scalar> DistMatrix<T> {
         self.check_axis_aligned(Axis::Row, row);
         let layout = self.layout().clone();
         let grid = layout.grid().clone();
-        let mut critical = 0usize;
-        for node in 0..grid.p() {
-            let (gr, gc) = grid.grid_coords(node);
-            let li_range = layout.rows().local_slot_range(gr, rows.start, rows.end);
-            let lj_range = layout.cols().local_slot_range(gc, cols.start, cols.end);
-            critical = critical.max(li_range.len() * lj_range.len());
-        }
+        // Every node of grid row `gr` shares its row window, every node
+        // of grid column `gc` its column window: build each once.
+        let row_win = Windows::new(layout.rows(), rows);
+        let col_win = Windows::new(layout.cols(), cols);
+        let critical = row_win.max_len() * col_win.max_len();
         let col_locals = col.locals();
         let row_locals = row.locals();
         let work = critical.saturating_mul(grid.p());
         crate::par::for_each_node(self.locals_mut(), work, |node, buf| {
             let (gr, gc) = grid.grid_coords(node);
-            let li_range = layout.rows().local_slot_range(gr, rows.start, rows.end);
-            let lj_range = layout.cols().local_slot_range(gc, cols.start, cols.end);
-            if li_range.is_empty() || lj_range.is_empty() {
+            let (li_range, _, gi) = row_win.part(gr);
+            let (lj_range, lc, gj) = col_win.part(gc);
+            if gi.is_empty() || gj.is_empty() {
                 return;
             }
-            let lc = layout.local_shape(node).1;
-            let col_chunk = &col_locals[node];
+            let col_chunk = &col_locals[node][li_range.clone()];
             let row_window = &row_locals[node][lj_range.clone()];
-            let gj: Vec<usize> =
-                lj_range.clone().map(|lj| layout.cols().global_index(gc, lj)).collect();
-            for li in li_range {
-                let i = layout.rows().global_index(gr, li);
-                let c = col_chunk[li];
+            for ((li, &i), &c) in li_range.zip(gi).zip(col_chunk) {
                 let base = li * lc;
                 let window = &mut buf[base + lj_range.start..base + lj_range.end];
                 for ((&j, &r), a) in gj.iter().zip(row_window).zip(window.iter_mut()) {

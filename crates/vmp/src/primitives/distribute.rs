@@ -47,10 +47,10 @@ pub fn distribute<T: Scalar>(
     let mut chunks: NodeSlab<T> = v.locals().clone();
     if let Placement::Concentrated(line) = placement {
         let (dims, root) = match axis {
-            Axis::Row => (grid.row_dims().to_vec(), grid.row_coord(line)),
-            Axis::Col => (grid.col_dims().to_vec(), grid.col_coord(line)),
+            Axis::Row => (grid.row_dims(), grid.row_coord(line)),
+            Axis::Col => (grid.col_dims(), grid.col_coord(line)),
         };
-        collective::broadcast_slab(hc, &mut chunks, &dims, root);
+        collective::broadcast_slab(hc, &mut chunks, dims, root);
     }
 
     // Local replication into the block.

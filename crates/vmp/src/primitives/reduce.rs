@@ -75,12 +75,12 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
 
 /// The dims the partials must be combined over, and the result layout
 /// factory.
-fn comm_dims(m_layout: &vmp_layout::MatrixLayout, axis: Axis) -> Vec<u32> {
+fn comm_dims(m_layout: &vmp_layout::MatrixLayout, axis: Axis) -> &'static [u32] {
     match axis {
         // Combining all matrix rows means combining across grid rows,
         // i.e. over the cube dims that encode the grid-row index.
-        Axis::Row => m_layout.grid().row_dims().to_vec(),
-        Axis::Col => m_layout.grid().col_dims().to_vec(),
+        Axis::Row => m_layout.grid().row_dims(),
+        Axis::Col => m_layout.grid().col_dims(),
     }
 }
 
@@ -112,7 +112,7 @@ pub fn reduce<T: Scalar, O: ReduceOp<T>>(
 ) -> DistVector<T> {
     let mut partials = local_fold(hc, m, axis, op);
     let dims = comm_dims(m.layout(), axis);
-    collective::allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
+    collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
     DistVector::from_slab(result_layout(m.layout(), axis, Placement::Replicated), partials)
 }
 
@@ -135,7 +135,7 @@ pub fn reduce_to<T: Scalar, O: ReduceOp<T>>(
         Axis::Row => grid.row_coord(line),
         Axis::Col => grid.col_coord(line),
     };
-    collective::reduce_slab(hc, &mut partials, &dims, root_coord, |a, b| op.combine(a, b));
+    collective::reduce_slab(hc, &mut partials, dims, root_coord, |a, b| op.combine(a, b));
     DistVector::from_slab(result_layout(m.layout(), axis, Placement::Concentrated(line)), partials)
 }
 

@@ -51,11 +51,11 @@ pub fn replicate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>) -> DistVector
         Placement::Concentrated(line) => {
             let grid = v.layout().grid().clone();
             let (dims, root) = match axis {
-                Axis::Row => (grid.row_dims().to_vec(), grid.row_coord(line)),
-                Axis::Col => (grid.col_dims().to_vec(), grid.col_coord(line)),
+                Axis::Row => (grid.row_dims(), grid.row_coord(line)),
+                Axis::Col => (grid.col_dims(), grid.col_coord(line)),
             };
             let mut chunks = v.locals().clone();
-            collective::broadcast_slab(hc, &mut chunks, &dims, root);
+            collective::broadcast_slab(hc, &mut chunks, dims, root);
             DistVector::from_slab(v.layout().with_placement(Placement::Replicated), chunks)
         }
     }
@@ -204,12 +204,12 @@ pub fn remap_vector<T: Scalar>(
     {
         let grid = new_layout.grid().clone();
         let dims = match axis {
-            Axis::Row => grid.row_dims().to_vec(),
-            Axis::Col => grid.col_dims().to_vec(),
+            Axis::Row => grid.row_dims(),
+            Axis::Col => grid.col_dims(),
         };
         // Primary holders sit on grid line 0, whose subcube coordinate is
         // encoding(0) == 0 for both encodings.
-        collective::broadcast(hc, &mut locals, &dims, 0);
+        collective::broadcast(hc, &mut locals, dims, 0);
     }
 
     DistVector::from_parts(new_layout, locals)

@@ -273,10 +273,10 @@ pub fn route_permutation<T: Scalar>(
     if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = layout.embedding() {
         let grid = layout.grid().clone();
         let dims = match axis {
-            Axis::Row => grid.row_dims().to_vec(),
-            Axis::Col => grid.col_dims().to_vec(),
+            Axis::Row => grid.row_dims(),
+            Axis::Col => grid.col_dims(),
         };
-        collective::broadcast(hc, &mut locals, &dims, 0);
+        collective::broadcast(hc, &mut locals, dims, 0);
     }
     DistVector::from_parts(layout, locals)
 }

@@ -191,22 +191,18 @@ impl<T: Scalar> DistVector<T> {
             }
             VecEmbedding::Aligned { axis, placement } => {
                 let primary_line = match placement {
-                    Placement::Replicated => None, // keep only grid line 0
-                    Placement::Concentrated(line) => Some(*line),
+                    Placement::Replicated => 0, // keep only grid line 0
+                    Placement::Concentrated(line) => *line,
                 };
-                for node in 0..p {
-                    let (gr, gc) = grid.grid_coords(node);
-                    let ortho = match axis {
-                        Axis::Row => gr,
-                        Axis::Col => gc,
-                    };
-                    let keep = match primary_line {
-                        None => ortho == 0,
-                        Some(line) => ortho == line,
-                    };
-                    if !keep {
-                        partials[node][0] = op.identity();
-                    }
+                // Keep the nodes whose orthogonal grid coordinate is the
+                // primary line: their bits on the orthogonal dims match.
+                let cube = grid.cube();
+                let (mask, bits) = match axis {
+                    Axis::Row => (cube.dims_mask(grid.row_dims()), grid.node_at(primary_line, 0)),
+                    Axis::Col => (cube.dims_mask(grid.col_dims()), grid.node_at(0, primary_line)),
+                };
+                for node in (0..p).filter(|&node| node & mask != bits) {
+                    partials[node][0] = op.identity();
                 }
                 let dims: Vec<u32> = grid.cube().iter_dims().collect();
                 allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));

@@ -319,3 +319,126 @@ fn collectives_match_reference_under_link_fault() {
     }
     assert!(fault_events > 0, "the plans actually injected faults");
 }
+
+/// Graceful degradation: after `remap_node` the slab collectives, which
+/// build their transfer lists only for a machine with live faults, must
+/// hand the fault machinery the same pairs as the seed implementations.
+/// On the 2-node machine every transfer becomes intra-host, so each
+/// superstep is charged as local moves only if the pairs arrived.
+#[test]
+fn collectives_match_reference_after_remap_node() {
+    for (dim, dead, host) in [(1u32, 1usize, 0usize), (3, 5, 4), (4, 6, 2)] {
+        let p = 1usize << dim;
+        let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
+        let uniform = uniform_locals(dim, 4, 11);
+        let ragged = ragged_locals(dim, 6, 5);
+        let root = 1 % p;
+        let make = || {
+            let mut hc = Hypercube::cm2(dim);
+            hc.remap_node(dead, host);
+            hc
+        };
+        let check = |what: &str,
+                     seed: &dyn Fn(&mut Hypercube) -> Vec<Vec<f64>>,
+                     slab: &dyn Fn(&mut Hypercube) -> Vec<Vec<f64>>| {
+            let (mut hc_seed, mut hc_slab) = (make(), make());
+            assert_eq!(seed(&mut hc_seed), slab(&mut hc_slab), "{what} payload");
+            assert_machines_identical(&hc_seed, &hc_slab, what);
+            if dim == 1 {
+                let c = hc_slab.counters();
+                assert_eq!(c.message_steps, 0, "{what}: co-hosted traffic is not channel traffic");
+                assert!(c.local_moves > 0, "{what}: charged as local moves");
+            }
+        };
+
+        check("exchange", &|hc| reference::exchange(hc, &ragged, 0), &|hc| {
+            collective::exchange(hc, &ragged, 0)
+        });
+        check(
+            "allgather",
+            &|hc| {
+                let mut l = ragged.clone();
+                reference::allgather(hc, &mut l, &dims);
+                l
+            },
+            &|hc| {
+                let mut l = ragged.clone();
+                collective::allgather(hc, &mut l, &dims);
+                l
+            },
+        );
+        check(
+            "gather",
+            &|hc| {
+                let mut l = ragged.clone();
+                reference::gather(hc, &mut l, &dims);
+                l
+            },
+            &|hc| {
+                let mut l = ragged.clone();
+                collective::gather(hc, &mut l, &dims);
+                l
+            },
+        );
+        check(
+            "broadcast",
+            &|hc| {
+                let mut l = ragged.clone();
+                reference::broadcast(hc, &mut l, &dims, root);
+                l
+            },
+            &|hc| {
+                let mut l = ragged.clone();
+                collective::broadcast(hc, &mut l, &dims, root);
+                l
+            },
+        );
+        check(
+            "reduce",
+            &|hc| {
+                let mut l = uniform.clone();
+                reference::reduce(hc, &mut l, &dims, root, |a, b| a + b);
+                l
+            },
+            &|hc| {
+                let mut l = uniform.clone();
+                collective::reduce(hc, &mut l, &dims, root, |a, b| a + b);
+                l
+            },
+        );
+        check(
+            "allreduce",
+            &|hc| {
+                let mut l = uniform.clone();
+                reference::allreduce(hc, &mut l, &dims, |a, b| a + b);
+                l
+            },
+            &|hc| {
+                let mut l = uniform.clone();
+                collective::allreduce(hc, &mut l, &dims, |a, b| a + b);
+                l
+            },
+        );
+        check(
+            "scan_inclusive",
+            &|hc| {
+                let mut l = uniform.clone();
+                reference::scan_inclusive(hc, &mut l, &dims, |a, b| a + b);
+                l
+            },
+            &|hc| {
+                let mut l = uniform.clone();
+                collective::scan_inclusive(hc, &mut l, &dims, |a, b| a + b);
+                l
+            },
+        );
+        let send: Vec<Vec<Vec<f64>>> = (0..p)
+            .map(|src| (0..p).map(|c| (0..=c % 3).map(|i| val(src * p + c, i)).collect()).collect())
+            .collect();
+        check("alltoall", &|hc| reference::alltoall(hc, send.clone(), &dims).concat(), &|hc| {
+            collective::alltoall_slab(hc, &SegSlab::from_nested(&send, p), &dims)
+                .to_nested()
+                .concat()
+        });
+    }
+}

@@ -18,7 +18,7 @@
 
 use vmp_core::prelude::*;
 use vmp_core::scan::route_permutation;
-use vmp_hypercube::collective::exchange;
+use vmp_hypercube::collective::exchange_slab;
 use vmp_hypercube::machine::Hypercube;
 
 /// A complex number (re, im). Deliberately minimal — just what the FFT
@@ -121,7 +121,7 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
     let local_bits = m.trailing_zeros() as usize;
     let sign = if inverse { 1.0 } else { -1.0 };
 
-    let mut chunks: Vec<Vec<Cplx>> = v.chunks().to_nested();
+    let mut chunks = v.chunks().clone();
 
     // DIF stages, stride t = 2^s from n/2 down to 1.
     for s in (0..q).rev() {
@@ -132,11 +132,12 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
             // pairwise chunk exchange.
             let cube_dim = (s - local_bits) as u32;
             let node_bit = 1usize << cube_dim;
-            let mut partners = exchange(hc, &chunks, cube_dim);
+            let mut partners = chunks.clone();
+            exchange_slab(hc, &mut partners, cube_dim);
             for node in 0..p {
-                let partner_chunk = std::mem::take(&mut partners[node]);
+                let partner_chunk = &partners[node];
                 let lower = node & node_bit == 0;
-                let chunk = &mut chunks[node];
+                let chunk = chunks.seg_mut(node);
                 for (local, x) in chunk.iter_mut().enumerate() {
                     let g = node * m + local; // my global index
                     let other = partner_chunk[local];
@@ -153,7 +154,8 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
             hc.charge_flops(10 * m);
         } else {
             // Local stage.
-            for (node, chunk) in chunks.iter_mut().enumerate() {
+            for node in 0..p {
+                let chunk = chunks.seg_mut(node);
                 let base = node * m;
                 let mut blk = 0usize;
                 while blk < m {
@@ -176,7 +178,7 @@ fn fft_impl(hc: &mut Hypercube, v: &DistVector<Cplx>, inverse: bool) -> DistVect
     }
 
     // Undo the bit-reversal with one blocked routed permutation.
-    let scrambled = DistVector::from_chunks(layout.clone(), chunks);
+    let scrambled = DistVector::from_chunks(layout.clone(), chunks.to_nested());
     let reversed = route_permutation(hc, &scrambled, move |i| Some(bit_reverse(i, q)), None);
 
     if inverse {

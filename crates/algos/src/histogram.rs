@@ -13,8 +13,9 @@
 //! exactly this.
 
 use vmp_core::prelude::*;
-use vmp_hypercube::collective::exchange;
+use vmp_hypercube::collective::{allreduce_slab, exchange_slab};
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 
 /// Serial oracle.
 #[must_use]
@@ -34,23 +35,22 @@ pub fn histogram_serial(values: &[usize], bins: usize) -> Vec<u64> {
 pub fn histogram_dense(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) -> Vec<u64> {
     let p = v.layout().grid().p();
     // Local counting.
-    let mut locals: Vec<Vec<u64>> = Vec::with_capacity(p);
+    let mut locals = NodeSlab::filled(&vec![bins; p], 0u64);
     let mut max_chunk = 0usize;
     for node in 0..p {
-        let mut h = vec![0u64; bins];
+        let h = locals.seg_mut(node);
         for &x in &v.chunks()[node] {
             assert!(x < bins, "value {x} out of range 0..{bins}");
             h[x] += 1;
         }
         max_chunk = max_chunk.max(v.chunks()[node].len());
-        locals.push(h);
     }
     hc.charge_flops(max_chunk);
 
     // Butterfly: all B bins per stage.
     let dims: Vec<u32> = hc.cube().iter_dims().collect();
-    vmp_hypercube::collective::allreduce(hc, &mut locals, &dims, |a, b| a + b);
-    locals.swap_remove(0)
+    allreduce_slab(hc, &mut locals, &dims, |a, b| a + b);
+    locals[0].to_vec()
 }
 
 /// Sparse (data-dependent) histogram: local counts kept as sorted
@@ -85,10 +85,11 @@ pub fn histogram_sparse(hc: &mut Hypercube, v: &DistVector<usize>, bins: usize) 
     // Butterfly with sparse merge: per stage, exchange the non-zero
     // lists (2 machine words per entry, charged as 2 elements) and merge.
     for d in hc.cube().iter_dims().collect::<Vec<_>>() {
-        let partners = exchange(hc, &sparse, d);
+        let mut partners = NodeSlab::from_nested(&sparse);
+        exchange_slab(hc, &mut partners, d);
         // The exchange charged 1 element per (bin, count) pair; charge
         // the second word of each pair explicitly.
-        let extra = partners.iter().map(Vec::len).max().unwrap_or(0);
+        let extra = partners.max_seg_len();
         hc.charge_raw_us(hc.cost().beta * extra as f64);
         let mut merge_work = 0usize;
         for node in 0..p {

@@ -7,7 +7,13 @@ use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
 /// Broadcast over a flat [`NodeSlab`]: every segment ends holding a copy
-/// of its subcube root's segment.
+/// of its subcube root's segment (the node at subcube coordinate
+/// `root_coord`).
+///
+/// Single-port machines run the classic spanning-binomial-tree schedule:
+/// `|dims|` supersteps, step `j` doubling the set of informed nodes along
+/// `dims[j]`, for `|dims| * (alpha + beta * L)` — the one-port-optimal
+/// start-up count.
 ///
 /// The spanning-binomial-tree *schedule* is charged step by step from
 /// segment lengths alone (every informed sender holds exactly the root's
@@ -71,33 +77,9 @@ pub fn broadcast_slab<T: Copy>(
     slab.swap(&mut out);
 }
 
-/// Broadcast, within every subcube spanned by `dims`, the buffer of the
-/// node at subcube coordinate `root_coord` to all other subcube members
-/// (overwriting their buffers).
-///
-/// Runs the classic spanning-binomial-tree schedule: `|dims|` supersteps,
-/// step `j` doubling the set of informed nodes along `dims[j]`. Time
-/// `|dims| * (alpha + beta * L)` for buffers of length `L` — the
-/// one-port-optimal start-up count. Thin adapter over
-/// [`broadcast_slab`].
-///
-/// # Panics
-/// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
-pub fn broadcast<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    root_coord: usize,
-) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    broadcast_slab(hc, &mut slab, dims, root_coord);
-    slab.write_nested(locals);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::testutil::{on_nested, unit_machine};
     use super::*;
 
     #[test]
@@ -105,7 +87,7 @@ mod tests {
         let mut hc = unit_machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
         let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0, 2.0, 3.0] } else { vec![] });
-        broadcast(&mut hc, &mut locals, &dims, 0);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &dims, 0));
         for buf in &locals {
             assert_eq!(buf, &vec![1.0, 2.0, 3.0]);
         }
@@ -119,7 +101,7 @@ mod tests {
         let dims = [0u32, 1, 2];
         let root_coord = 5usize;
         let mut locals = hc.locals_from_fn(|n| if n == 5 { vec![9u32] } else { vec![0] });
-        broadcast(&mut hc, &mut locals, &dims, root_coord);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &dims, root_coord));
         for buf in &locals {
             assert_eq!(buf, &vec![9u32]);
         }
@@ -139,7 +121,7 @@ mod tests {
                 locals[n] = vec![u32::MAX];
             }
         }
-        broadcast(&mut hc, &mut locals, &row_dims, 0);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &row_dims, 0));
         for n in hc.cube().iter_nodes() {
             let row = n >> 2;
             assert_eq!(locals[n], vec![row as u32 * 100], "node {n}");
@@ -152,7 +134,7 @@ mod tests {
         let mut hc = unit_machine(3);
         let mut locals = hc.locals_from_fn(|n| vec![n]);
         let before = locals.clone();
-        broadcast(&mut hc, &mut locals, &[], 0);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &[], 0));
         assert_eq!(locals, before);
         assert_eq!(hc.elapsed_us(), 0.0);
     }
@@ -163,7 +145,7 @@ mod tests {
         let dims = [1u32, 4];
         // Roots: nodes with bits 1 and 4 equal to root_coord=0b10 -> bit1=0, bit4=1.
         let mut locals = hc.locals_from_fn(|n| vec![n]);
-        broadcast(&mut hc, &mut locals, &dims, 0b10);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &dims, 0b10));
         for n in hc.cube().iter_nodes() {
             let root = hc.cube().with_coords(n, 0b10, &dims);
             assert_eq!(locals[n], vec![root], "node {n} gets its subcube root's value");
@@ -178,7 +160,7 @@ mod tests {
         let mut b = a.clone();
         super::super::reference::broadcast(&mut hc1, &mut a, &dims, 1);
         let mut hc2 = unit_machine(4);
-        broadcast(&mut hc2, &mut b, &dims, 1);
+        on_nested(&mut b, |s| broadcast_slab(&mut hc2, s, &dims, 1));
         assert_eq!(a, b);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
@@ -189,6 +171,6 @@ mod tests {
     fn bad_root_panics() {
         let mut hc = unit_machine(3);
         let mut locals: Vec<Vec<u8>> = hc.empty_locals();
-        broadcast(&mut hc, &mut locals, &[0, 1], 4);
+        on_nested(&mut locals, |s| broadcast_slab(&mut hc, s, &[0, 1], 4));
     }
 }

@@ -79,16 +79,6 @@ pub fn allgather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims:
     slab.swap(&mut out);
 }
 
-/// All-gather within every subcube spanned by `dims`: every member ends
-/// holding the concatenation of all members' buffers in coordinate order.
-/// Thin adapter over [`allgather_slab`].
-pub fn allgather<T: Copy>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    allgather_slab(hc, &mut slab, dims);
-    slab.write_nested(locals);
-}
-
 /// Gather over a flat [`NodeSlab`]: the node at subcube coordinate 0
 /// ends holding the concatenation of all members' segments in
 /// coordinate order; every other member's segment becomes empty.
@@ -134,17 +124,6 @@ pub fn gather_slab<T: Copy>(hc: &mut Hypercube, slab: &mut NodeSlab<T>, dims: &[
         });
     }
     slab.swap(&mut out);
-}
-
-/// Gather to subcube coordinate 0: the root ends holding the
-/// concatenation of all members' buffers in coordinate order; every other
-/// member's buffer is consumed (left empty). Thin adapter over
-/// [`gather_slab`].
-pub fn gather<T: Copy>(hc: &mut Hypercube, locals: &mut [Vec<T>], dims: &[u32]) {
-    assert_eq!(locals.len(), hc.cube().nodes());
-    let mut slab = NodeSlab::from_nested(locals);
-    gather_slab(hc, &mut slab, dims);
-    slab.write_nested(locals);
 }
 
 /// Scatter over a flat [`SegSlab`]: each subcube root's `2^{|dims|}`
@@ -216,40 +195,9 @@ pub fn scatter_slab<T: Copy>(
     out
 }
 
-/// Scatter from subcube coordinate 0: the root's `segments` (one per
-/// coordinate, in coordinate order) are distributed so that the member at
-/// coordinate `c` ends holding `segments[c]` as its buffer. Non-root
-/// buffers are overwritten; the root keeps `segments[0]`. Thin adapter
-/// over [`scatter_slab`].
-///
-/// # Panics
-/// Panics unless `segments.len() == 2^{|dims|}` at every subcube root
-/// (roots are identified by coordinate 0; pass `segments[node]` empty
-/// `Vec`s elsewhere — they are ignored).
-pub fn scatter<T: Copy>(
-    hc: &mut Hypercube,
-    segments: Vec<Vec<Vec<T>>>,
-    dims: &[u32],
-) -> Vec<Vec<T>> {
-    let cube = hc.cube();
-    check_dims(cube, dims);
-    let k = dims.len();
-    assert_eq!(segments.len(), cube.nodes());
-    for (node, segs) in segments.iter().enumerate() {
-        let c = cube.extract_coords(node, dims);
-        if c == 0 {
-            assert_eq!(segs.len(), 1usize << k, "root must supply 2^k segments");
-        } else {
-            assert!(segs.is_empty(), "non-root nodes must not supply segments");
-        }
-    }
-    let slab = SegSlab::from_nested(&segments, 1usize << k);
-    scatter_slab(hc, &slab, dims).to_nested()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::unit_machine;
+    use super::super::testutil::{on_nested, unit_machine};
     use super::*;
 
     #[test]
@@ -257,7 +205,7 @@ mod tests {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
         let mut locals = hc.locals_from_fn(|n| vec![n as u32, 100 + n as u32]);
-        allgather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| allgather_slab(&mut hc, s, &dims));
         let expected: Vec<u32> = (0..8).flat_map(|n| [n, 100 + n]).collect();
         for n in 0..8 {
             assert_eq!(locals[n], expected, "node {n}");
@@ -270,7 +218,7 @@ mod tests {
         let mut hc = unit_machine(2);
         let dims = [0u32, 1];
         let mut locals = hc.locals_from_fn(|n| vec![n as u8; n]);
-        allgather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| allgather_slab(&mut hc, s, &dims));
         let expected: Vec<u8> = (0..4).flat_map(|n| vec![n as u8; n]).collect();
         for n in 0..4 {
             assert_eq!(locals[n], expected);
@@ -283,7 +231,7 @@ mod tests {
         let mut hc = unit_machine(4);
         let dims = [0u32, 1];
         let mut locals = hc.locals_from_fn(|n| vec![n]);
-        allgather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| allgather_slab(&mut hc, s, &dims));
         for n in 0..16usize {
             let row = n >> 2 << 2;
             assert_eq!(locals[n], vec![row, row + 1, row + 2, row + 3]);
@@ -295,7 +243,7 @@ mod tests {
         let mut hc = unit_machine(3);
         let dims = [0u32, 1, 2];
         let mut locals = hc.locals_from_fn(|n| vec![n as u16]);
-        gather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| gather_slab(&mut hc, s, &dims));
         assert_eq!(locals[0], (0..8).collect::<Vec<u16>>());
         for n in 1..8 {
             assert!(locals[n].is_empty(), "node {n} consumed");
@@ -308,7 +256,7 @@ mod tests {
         let mut hc = unit_machine(3);
         let dims = [1u32, 2]; // gather within each {bit0}-indexed subcube
         let mut locals = hc.locals_from_fn(|n| vec![n as u16]);
-        gather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| gather_slab(&mut hc, s, &dims));
         assert_eq!(locals[0], vec![0, 2, 4, 6]);
         assert_eq!(locals[1], vec![1, 3, 5, 7]);
         for n in 2..8 {
@@ -329,7 +277,9 @@ mod tests {
                 }
             })
             .collect();
-        let locals = scatter(&mut hc, segments, &dims);
+        let locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims)
+                .to_nested();
         for c in 0..8u32 {
             assert_eq!(locals[c as usize], vec![c * 10, c * 10 + 1], "coord {c}");
         }
@@ -343,11 +293,13 @@ mod tests {
         let original: Vec<Vec<u64>> = (0..16).map(|c| vec![c as u64; (c % 3) + 1]).collect();
         let segments: Vec<Vec<Vec<u64>>> =
             (0..16).map(|n| if n == 0 { original.clone() } else { Vec::new() }).collect();
-        let mut locals = scatter(&mut hc, segments, &dims);
+        let mut locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims)
+                .to_nested();
         for c in 0..16usize {
             assert_eq!(locals[c], original[c]);
         }
-        gather(&mut hc, &mut locals, &dims);
+        on_nested(&mut locals, |s| gather_slab(&mut hc, s, &dims));
         let flat: Vec<u64> = original.into_iter().flatten().collect();
         assert_eq!(locals[0], flat);
     }
@@ -361,7 +313,9 @@ mod tests {
         let segments: Vec<Vec<Vec<usize>>> = (0..16)
             .map(|n| if n < 4 { (0..4).map(|c| vec![n * 100 + c]).collect() } else { Vec::new() })
             .collect();
-        let locals = scatter(&mut hc, segments, &dims);
+        let locals =
+            scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << dims.len()), &dims)
+                .to_nested();
         for n in 0..16usize {
             let col = n & 0b11;
             let row = n >> 2;
@@ -374,7 +328,7 @@ mod tests {
         let mut hc = unit_machine(2);
         let mut locals = hc.locals_from_fn(|n| vec![n]);
         let before = locals.clone();
-        allgather(&mut hc, &mut locals, &[]);
+        on_nested(&mut locals, |s| allgather_slab(&mut hc, s, &[]));
         assert_eq!(locals, before);
     }
 
@@ -388,7 +342,7 @@ mod tests {
         let mut b = a.clone();
         reference::allgather(&mut hc1, &mut a, &dims);
         let mut hc2 = unit_machine(3);
-        allgather(&mut hc2, &mut b, &dims);
+        on_nested(&mut b, |s| allgather_slab(&mut hc2, s, &dims));
         assert_eq!(a, b);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());
@@ -398,7 +352,7 @@ mod tests {
         let mut d = c.clone();
         reference::gather(&mut hc3, &mut c, &dims);
         let mut hc4 = unit_machine(3);
-        gather(&mut hc4, &mut d, &dims);
+        on_nested(&mut d, |s| gather_slab(&mut hc4, s, &dims));
         assert_eq!(c, d);
         assert_eq!(hc3.elapsed_us(), hc4.elapsed_us());
         assert_eq!(hc3.counters(), hc4.counters());
@@ -420,7 +374,8 @@ mod tests {
         let mut hc1 = unit_machine(3);
         let a = reference::scatter(&mut hc1, segs.clone(), &dims);
         let mut hc2 = unit_machine(3);
-        let b = scatter(&mut hc2, segs, &dims);
+        let b = scatter_slab(&mut hc2, &SegSlab::from_nested(&segs, 1 << dims.len()), &dims)
+            .to_nested();
         assert_eq!(a, b);
         assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
         assert_eq!(hc1.counters(), hc2.counters());

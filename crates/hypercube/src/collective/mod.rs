@@ -30,12 +30,12 @@ mod reduce;
 pub mod reference;
 mod scan;
 
-pub use alltoall::{alltoall, alltoall_slab};
-pub use broadcast::{broadcast, broadcast_slab};
-pub use exchange::{exchange, exchange_in_place, exchange_slab};
-pub use gather::{allgather, allgather_slab, gather, gather_slab, scatter, scatter_slab};
-pub use reduce::{allreduce, allreduce_slab, reduce, reduce_slab};
-pub use scan::{scan_exclusive, scan_exclusive_slab, scan_inclusive, scan_inclusive_slab};
+pub use alltoall::alltoall_slab;
+pub use broadcast::broadcast_slab;
+pub use exchange::exchange_slab;
+pub use gather::{allgather_slab, gather_slab, scatter_slab};
+pub use reduce::{allreduce_slab, reduce_slab};
+pub use scan::{scan_exclusive_slab, scan_inclusive_slab};
 
 use crate::topology::{Cube, NodeId};
 
@@ -81,6 +81,7 @@ pub(crate) fn sends_where(
 pub(crate) mod testutil {
     use crate::cost::CostModel;
     use crate::machine::Hypercube;
+    use crate::slab::NodeSlab;
 
     pub fn unit_machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
@@ -90,6 +91,13 @@ pub(crate) mod testutil {
     /// offset by the element index — distinguishable contents.
     pub fn labelled_locals(hc: &Hypercube, len: usize) -> Vec<Vec<f64>> {
         hc.locals_from_fn(|n| (0..len).map(|i| (n * 1000 + i) as f64).collect())
+    }
+
+    /// Run `op` on a slab copy of `locals`, then copy the result back.
+    pub fn on_nested<T: Copy>(locals: &mut Vec<Vec<T>>, op: impl FnOnce(&mut NodeSlab<T>)) {
+        let mut slab = NodeSlab::from_nested(locals);
+        op(&mut slab);
+        *locals = slab.to_nested();
     }
 }
 

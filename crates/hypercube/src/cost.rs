@@ -21,7 +21,9 @@ use serde::{Deserialize, Serialize};
 /// Whether a node can use one channel at a time or all `d` channels
 /// concurrently. The CM-2 NEWS/hypercube hardware supported concurrent
 /// channel use; one-port is the conservative model most algorithms are
-/// analysed under. Only the spanning-tree ablation routines consult this.
+/// analysed under. The schedule selector ([`AlgoSelect::choose`])
+/// consults it: under [`AlgoPolicy::Auto`] a one-port machine always runs
+/// the single-port schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PortModel {
     /// One channel per node active per step.

@@ -20,13 +20,12 @@
 //!   subsets (rows and columns of a processor grid);
 //! * [`slab`] — the flat arena data plane ([`slab::NodeSlab`] /
 //!   [`slab::SegSlab`]) the collectives operate on;
-//! * [`par`] — the shared, `VMP_PAR_THRESHOLD`-tunable host-parallelism
-//!   threshold;
 //! * [`route`] — blocked dimension-ordered routing for irregular moves;
 //! * [`router`] — the cycle-accurate element-granular general router
 //!   that models the paper's **naive** baseline;
-//! * [`spanning`] — alternative (balanced / all-port) broadcast and
-//!   reduction schedules for the spanning-tree ablation.
+//! * [`spanning`] — balanced one-port broadcast/all-reduce schedules for
+//!   the spanning-tree ablation, and the edge-disjoint spanning binomial
+//!   trees the all-port schedules run over.
 //!
 //! Everything really moves the data — results are bit-exact and checked
 //! against serial oracles — while the simulated clock and counters follow
@@ -42,7 +41,6 @@ pub mod dimperm;
 pub mod fault;
 pub mod gray;
 pub mod machine;
-pub mod par;
 pub mod route;
 pub mod router;
 pub mod slab;

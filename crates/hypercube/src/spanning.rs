@@ -1,4 +1,5 @@
-//! Alternative broadcast/reduce schedules — the spanning-tree ablation.
+//! Balanced one-port schedules and the edge-disjoint spanning trees — the
+//! spanning-tree ablation.
 //!
 //! The binomial-tree schedules in [`crate::collective`] minimise start-ups
 //! (`k` of them) but transfer the whole buffer at every level, costing
@@ -6,236 +7,163 @@
 //! Personalized Communication in Hypercubes* (TR-610, abstract in the
 //! source booklet) shows large-message broadcasts can shed the factor `k`
 //! on the bandwidth term with balanced / edge-disjoint spanning trees.
-//! This module implements the two classical remedies in data-correct form:
+//! This module holds the two balanced one-port remedies, over the slab
+//! data plane:
 //!
 //! * **scatter + allgather** broadcast (`2k` start-ups,
 //!   `~2 * beta * L` transfer) — the "balanced tree" one-port schedule;
-//! * **reduce-scatter + gather/allgather** reductions (Rabenseifner) with
-//!   the same trade;
-//! * **all-port pipelined broadcast** over `k` edge-disjoint spanning
-//!   binomial trees (nESBT): data movement is modelled (the clone is
-//!   performed directly) but the charge follows the nESBT schedule,
-//!   `k * (alpha + beta * ceil(L/k))` — the factor-`n` bandwidth win the
-//!   TR-610 abstract states.
+//! * **reduce-scatter + allgather** all-reduce (Rabenseifner) with the
+//!   same trade;
+//!
+//! and the `k` edge-disjoint spanning binomial trees ([`EsbtForest`])
+//! that the all-port engine pipelines over. All-port broadcast has no
+//! schedule of its own here: it is [`crate::collective::broadcast_slab`]
+//! on a machine whose [`crate::cost::PortModel`] is all-port, priced by
+//! [`crate::cost::allport_schedule`] like every other all-port
+//! collective.
 //!
 //! Benchmark F4 sweeps message size against these schedules to reproduce
 //! the crossover: binomial wins small messages (fewer start-ups),
-//! balanced schedules win large ones.
+//! balanced and all-port schedules win large ones.
 
-use crate::collective::{allgather, broadcast, gather, scatter};
+use std::ops::Range;
+
+use crate::collective::{allgather_slab, check_dims, nodes_matching, scatter_slab};
 use crate::machine::Hypercube;
+use crate::slab::{NodeSlab, SegSlab};
 use crate::topology::NodeId;
 
-/// Which broadcast schedule to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BroadcastSchedule {
-    /// Spanning binomial tree: `k * (alpha + beta * L)`.
-    Binomial,
-    /// Scatter then allgather: `2k * alpha + ~2 * beta * L`.
-    ScatterAllgather,
-    /// All-port pipelining over `k` edge-disjoint spanning binomial trees:
-    /// `k * (alpha + beta * ceil(L/k))`.
-    AllPortEsbt,
-}
-
-/// Broadcast the buffer at subcube coordinate `root_coord` to all subcube
-/// members using the chosen schedule. Semantics identical to
-/// [`crate::collective::broadcast`]; only the schedule (and hence the
-/// charged time) differs.
-pub fn broadcast_with<T: Copy>(
+/// Broadcast by scatter + allgather: within every subcube spanned by
+/// `dims`, every segment ends holding a copy of the segment at subcube
+/// coordinate `root_coord` — the semantics of
+/// [`crate::collective::broadcast_slab`], on the balanced one-port
+/// schedule (`2k * alpha + ~2 * beta * L`).
+///
+/// A root other than coordinate 0 first moves its payload to
+/// coordinate 0 (one blocked message per differing dimension); the root
+/// buffer is then scattered as `2^k` near-equal pieces and allgathered.
+///
+/// # Panics
+/// Panics if `dims` is invalid or `root_coord >= 2^{|dims|}`.
+pub fn broadcast_scatter_allgather<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
     root_coord: usize,
-    schedule: BroadcastSchedule,
 ) {
-    match schedule {
-        BroadcastSchedule::Binomial => broadcast(hc, locals, dims, root_coord),
-        BroadcastSchedule::ScatterAllgather => {
-            let cube = hc.cube();
-            let k = dims.len();
-            if k == 0 {
-                return;
-            }
-            // Move the payload to the coordinate-0 node of each subcube if
-            // the root is elsewhere (coordinate relabelling: the scatter
-            // and gather trees here are rooted at coordinate 0).
-            if root_coord != 0 {
-                let mut moves: Vec<(NodeId, NodeId)> = Vec::new();
-                let mut max_len = 0usize;
-                let mut total = 0u64;
-                for node in cube.iter_nodes() {
-                    if cube.extract_coords(node, dims) == root_coord {
-                        let dst = cube.with_coords(node, 0, dims);
-                        max_len = max_len.max(locals[node].len());
-                        total += locals[node].len() as u64;
-                        moves.push((node, dst));
-                    }
-                }
-                for (src, dst) in moves {
-                    locals[dst] = std::mem::take(&mut locals[src]);
-                }
-                // Distance can be up to k, but the payload moves as one
-                // blocked message along each differing dimension.
-                let hops = (root_coord as u64).count_ones() as usize;
-                for _ in 0..hops {
-                    hc.charge_message_step(max_len, total);
-                }
-            }
-            // Scatter root's buffer as 2^k near-equal segments...
-            let pieces = 1usize << k;
-            let segments: Vec<Vec<Vec<T>>> = (0..cube.nodes())
-                .map(|node| {
-                    if cube.extract_coords(node, dims) == 0 {
-                        split_even(&locals[node], pieces)
-                    } else {
-                        Vec::new()
-                    }
-                })
-                .collect();
-            let mut scattered = scatter(hc, segments, dims);
-            // ...then allgather: every node ends with the concatenation,
-            // which equals the original buffer.
-            allgather(hc, &mut scattered, dims);
-            for (node, buf) in scattered.into_iter().enumerate() {
-                locals[node] = buf;
-            }
-        }
-        BroadcastSchedule::AllPortEsbt => {
-            let cube = hc.cube();
-            let k = dims.len();
-            if k == 0 {
-                return;
-            }
-            // Perform the data movement directly (semantically a clone of
-            // the root buffer everywhere), charging the nESBT schedule.
-            let mut max_len = 0usize;
-            let mut clones: Vec<(NodeId, NodeId)> = Vec::new();
-            for node in cube.iter_nodes() {
-                if cube.extract_coords(node, dims) == root_coord {
-                    max_len = max_len.max(locals[node].len());
-                    for member in cube.subcube_nodes(node, dims) {
-                        if member != node {
-                            clones.push((node, member));
-                        }
-                    }
-                }
-            }
-            let total: u64 = clones.len() as u64 * max_len as u64;
-            for (src, dst) in clones {
-                locals[dst] = locals[src].clone();
-            }
-            let piece = max_len.div_ceil(k);
-            for _ in 0..k {
-                hc.charge_message_step(piece, total / k as u64);
-            }
+    let cube = hc.cube();
+    check_dims(cube, dims);
+    let k = dims.len();
+    if k == 0 {
+        return;
+    }
+    assert!(root_coord < (1usize << k), "root coordinate out of range");
+    assert_eq!(slab.p(), cube.nodes());
+
+    let p = slab.p();
+    let all = cube.dims_mask(dims);
+    let root_bits = cube.deposit_coords(root_coord, dims);
+    if root_coord != 0 {
+        let (max_len, total) = nodes_matching(p, all, root_bits).fold((0, 0u64), |(m, t), root| {
+            let len = slab.len_of(root);
+            (m.max(len), t + len as u64)
+        });
+        // Distance can be up to k, but the payload moves as one blocked
+        // message along each differing dimension.
+        for _ in 0..root_coord.count_ones() {
+            hc.charge_message_step(max_len, total);
         }
     }
-}
-
-/// Reduce to subcube coordinate 0 via recursive-halving reduce-scatter
-/// followed by a gather — `2k` start-ups but only `~(beta + gamma) * L`
-/// on the bandwidth/compute terms (vs `k * L` for the binomial tree).
-/// Non-root buffers are cleared, as in [`crate::collective::reduce`].
-pub fn reduce_scatter_gather<T: Copy>(
-    hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
-    dims: &[u32],
-    op: impl Fn(T, T) -> T + Copy,
-) {
-    reduce_scatter(hc, locals, dims, op);
-    gather(hc, locals, dims);
+    // Coordinate 0 of every subcube scatters its root's buffer as 2^k
+    // near-equal pieces...
+    let pieces = 1usize << k;
+    let mut segments = SegSlab::with_capacity(pieces, p, slab.total_len());
+    for node in 0..p {
+        let root = (node & all == 0).then(|| &slab[node | root_bits]);
+        for range in split_even(root.map_or(0, <[T]>::len), pieces) {
+            segments.push_seg(root.map_or(&[][..], |buf| &buf[range]));
+        }
+    }
+    let mut scattered = scatter_slab(hc, &segments, dims);
+    // ...then allgather: every node ends with the concatenation, which
+    // equals the root's buffer.
+    allgather_slab(hc, &mut scattered, dims);
+    slab.swap(&mut scattered);
 }
 
 /// All-reduce via reduce-scatter + allgather (Rabenseifner's algorithm):
-/// every member ends with the full elementwise reduction.
+/// every member ends with the full elementwise reduction, as after
+/// [`crate::collective::allreduce_slab`], for `2k` start-ups but only
+/// `~(beta + gamma) * L` on the bandwidth/compute terms.
+///
+/// # Panics
+/// Panics if `dims` is invalid or the segments have different lengths.
 pub fn allreduce_rabenseifner<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
-    op: impl Fn(T, T) -> T + Copy,
+    op: impl Fn(T, T) -> T,
 ) {
-    reduce_scatter(hc, locals, dims, op);
-    allgather(hc, locals, dims);
+    reduce_scatter(hc, slab, dims, op);
+    allgather_slab(hc, slab, dims);
 }
 
 /// Recursive-halving reduce-scatter: member at coordinate `c` ends with
 /// the fully reduced segment `c` (coordinate-order split) of the buffer.
 fn reduce_scatter<T: Copy>(
     hc: &mut Hypercube,
-    locals: &mut [Vec<T>],
+    slab: &mut NodeSlab<T>,
     dims: &[u32],
-    op: impl Fn(T, T) -> T + Copy,
+    op: impl Fn(T, T) -> T,
 ) {
     let cube = hc.cube();
-    crate::collective::check_dims(cube, dims);
-    assert_eq!(locals.len(), cube.nodes());
+    check_dims(cube, dims);
+    assert_eq!(slab.p(), cube.nodes());
     let k = dims.len();
     if k == 0 {
         return;
     }
-
-    // Every node tracks the global [lo, hi) range its buffer covers; the
-    // split points are the coordinate-order segment boundaries, so both
-    // partners always agree on the current range.
-    let p = cube.nodes();
-    let mut range: Vec<(usize, usize)> = Vec::with_capacity(p);
-    let full_len = {
-        let mut len = None;
-        for node in cube.iter_nodes() {
-            match len {
-                None => len = Some(locals[node].len()),
-                Some(l) => assert_eq!(
-                    l,
-                    locals[node].len(),
-                    "reduce-scatter requires equal buffer lengths"
-                ),
-            }
-        }
-        len.unwrap_or(0)
+    let Some(full_len) = slab.uniform_seg_len() else {
+        panic!("reduce-scatter requires equal buffer lengths");
     };
-    range.resize(p, (0, full_len));
 
+    // Every segment keeps its full length; node `n` owns the global range
+    // `range[n]` of it. The split points are the coordinate-order segment
+    // boundaries, so both partners always agree on the current range.
+    let p = slab.p();
+    let mut range = vec![(0usize, full_len); p];
     for j in (0..k).rev() {
         let chan = 1usize << dims[j];
-        let bit = 1usize << j;
         let mut max_len = 0usize;
         let mut total: u64 = 0;
-        for node in cube.iter_nodes() {
-            if node & chan != 0 {
-                continue;
-            }
+        // `node` has the cube bit clear, so it is the lower coordinate of
+        // the pair: it keeps [lo, mid), its partner [mid, hi).
+        for node in nodes_matching(p, chan, 0) {
             let partner = node | chan;
             let (lo, hi) = range[node];
             debug_assert_eq!(range[partner], (lo, hi));
             let mid = lo + (hi - lo) / 2;
-            // Lower-coordinate node keeps [lo, mid); the partner (whose
-            // coordinate bit j is 1) keeps [mid, hi).
-            // vmplint: allow(s1) — splits the host-side nested-Vec view, not slab storage
-            let (lo_part, hi_part) = locals.split_at_mut(partner);
-            let a = &mut lo_part[node]; // covers [lo, hi) locally
-            let b = &mut hi_part[0];
-            let seg =
-                |v: &Vec<T>, from: usize, to: usize| -> Vec<T> { v[from - lo..to - lo].to_vec() };
-            let a_low = seg(a, lo, mid);
-            let a_high = seg(a, mid, hi);
-            let b_low = seg(b, lo, mid);
-            let b_high = seg(b, mid, hi);
-            let xfer = a_high.len().max(b_low.len());
-            max_len = max_len.max(xfer);
-            total += (a_high.len() + b_low.len()) as u64;
-            *a = a_low.iter().zip(&b_low).map(|(&x, &y)| op(x, y)).collect();
-            *b = a_high.iter().zip(&b_high).map(|(&x, &y)| op(x, y)).collect();
+            max_len = max_len.max(hi - mid);
+            total += (hi - lo) as u64;
+            let (a, b) = slab.pair_mut(node, partner);
+            for (x, &y) in a[lo..mid].iter_mut().zip(&b[lo..mid]) {
+                *x = op(*x, y);
+            }
+            for (&x, y) in a[mid..hi].iter().zip(&mut b[mid..hi]) {
+                *y = op(x, *y);
+            }
             range[node] = (lo, mid);
             range[partner] = (mid, hi);
-            // Which physical node is "lower coordinate" depends on the
-            // coordinate packing; with dims[j] mapped to coord bit j and
-            // node having that cube bit clear, node IS the lower one.
-            debug_assert_eq!(cube.extract_coords(node, dims) & bit, 0);
         }
         hc.charge_message_step(max_len, total);
         hc.charge_flops(max_len);
     }
+
+    let mut out = NodeSlab::with_capacity(p, slab.total_len() >> k);
+    for (node, &(lo, hi)) in range.iter().enumerate() {
+        out.push_seg(&slab[node][lo..hi]);
+    }
+    slab.swap(&mut out);
 }
 
 /// The `k` edge-disjoint spanning binomial trees (ESBTs) of a `k`-cube,
@@ -368,29 +296,84 @@ impl EsbtForest {
     }
 }
 
-/// Split `buf` into `pieces` contiguous segments of near-equal length
-/// (the first `len % pieces` segments are one element longer).
-fn split_even<T: Clone>(buf: &[T], pieces: usize) -> Vec<Vec<T>> {
-    let len = buf.len();
-    let base = len / pieces;
-    let extra = len % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut at = 0usize;
-    for i in 0..pieces {
-        let take = base + usize::from(i < extra);
-        out.push(buf[at..at + take].to_vec());
-        at += take;
-    }
-    out
+/// Split `0..len` into `pieces` contiguous ranges of near-equal length
+/// (the first `len % pieces` ranges are one element longer).
+fn split_even(len: usize, pieces: usize) -> impl Iterator<Item = Range<usize>> {
+    let (base, extra) = (len / pieces, len % pieces);
+    (0..pieces).scan(0usize, move |at, i| {
+        let start = *at;
+        *at += base + usize::from(i < extra);
+        Some(start..*at)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
+    use crate::cost::{CostModel, PortModel};
+    use crate::counters::Counters;
 
     fn machine(dim: u32) -> Hypercube {
         Hypercube::new(dim, CostModel::unit())
+    }
+
+    /// FNV-1a over every segment's length and element bits, in node order.
+    fn fingerprint<'a>(segs: impl IntoIterator<Item = &'a [f64]>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for seg in segs {
+            eat(seg.len() as u64);
+            for &x in seg {
+                eat(x.to_bits());
+            }
+        }
+        h
+    }
+
+    /// Payload fingerprint, clock bits and counters of one run.
+    type Pinned = (u64, u64, Counters);
+
+    #[test]
+    fn characterisation_pins_payload_clock_and_counters() {
+        let dim = 5u32;
+        let sub = [1u32, 3, 4];
+        let all: Vec<u32> = (0..dim).collect();
+        let run = |f: &dyn Fn(&mut Hypercube, &mut NodeSlab<f64>),
+                   lens: &dyn Fn(usize) -> usize| {
+            let mut hc = Hypercube::new(dim, CostModel::cm2());
+            let mut slab = NodeSlab::from_nested(&hc.locals_from_fn(|n| {
+                (0..lens(n)).map(|i| (n as f64 + 0.3) / (i as f64 + 1.7)).collect()
+            }));
+            f(&mut hc, &mut slab);
+            let pinned: Pinned =
+                (fingerprint(slab.iter_segs()), hc.elapsed_us().to_bits(), *hc.counters());
+            pinned
+        };
+        let add = |x: f64, y: f64| x + y;
+        let got = [
+            run(&|hc, s| allreduce_rabenseifner(hc, s, &sub, add), &|_| 13),
+            run(&|hc, s| allreduce_rabenseifner(hc, s, &all, add), &|_| 13),
+            run(&|hc, s| broadcast_scatter_allgather(hc, s, &sub, 5), &|n| 13 + (n & 1) + n % 3),
+        ];
+        let counters = |message_steps, elements_transferred, max_channel_load, flops| Counters {
+            message_steps,
+            elements_transferred,
+            max_channel_load,
+            flops,
+            ..Counters::default()
+        };
+        // Recorded from the nested-Vec implementation this module had
+        // before it moved onto the slab data plane.
+        let want: [Pinned; 3] = [
+            (15_498_861_651_385_128_501, 4_641_612_086_107_543_962, counters(6, 728, 7, 13)),
+            (7_020_643_403_186_752_997, 4_644_605_396_563_001_344, counters(10, 806, 7, 15)),
+            (10_148_647_896_722_760_037, 4_643_985_272_004_935_680, counters(8, 603, 16, 0)),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -451,11 +434,16 @@ mod tests {
 
     #[test]
     fn split_even_covers_everything() {
-        let v: Vec<u32> = (0..10).collect();
-        let parts = split_even(&v, 4);
-        assert_eq!(parts.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 3, 2, 2]);
-        let flat: Vec<u32> = parts.into_iter().flatten().collect();
-        assert_eq!(flat, v);
+        let parts: Vec<Range<usize>> = split_even(10, 4).collect();
+        assert_eq!(parts, vec![0..3, 3..6, 6..8, 8..10]);
+        assert_eq!(split_even(2, 4).map(|r| r.len()).collect::<Vec<_>>(), vec![1, 1, 0, 0]);
+    }
+
+    /// Node `root` holds `payload`; every other node holds nothing.
+    fn rooted(hc: &Hypercube, root: NodeId, payload: &[u64]) -> NodeSlab<u64> {
+        NodeSlab::from_nested(
+            &hc.locals_from_fn(|n| if n == root { payload.to_vec() } else { vec![] }),
+        )
     }
 
     #[test]
@@ -463,10 +451,10 @@ mod tests {
         let mut hc = machine(4);
         let dims: Vec<u32> = hc.cube().iter_dims().collect();
         let payload: Vec<u64> = (0..37).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 0 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 0, BroadcastSchedule::ScatterAllgather);
-        for (n, buf) in locals.iter().enumerate() {
-            assert_eq!(buf, &payload, "node {n}");
+        let mut slab = rooted(&hc, 0, &payload);
+        broadcast_scatter_allgather(&mut hc, &mut slab, &dims, 0);
+        for (n, buf) in slab.iter_segs().enumerate() {
+            assert_eq!(buf, &payload[..], "node {n}");
         }
     }
 
@@ -475,38 +463,35 @@ mod tests {
         let mut hc = machine(3);
         let dims = [0u32, 1, 2];
         let payload: Vec<u64> = (0..16).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 5 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 5, BroadcastSchedule::ScatterAllgather);
-        for buf in &locals {
-            assert_eq!(buf, &payload);
+        let mut slab = rooted(&hc, 5, &payload);
+        broadcast_scatter_allgather(&mut hc, &mut slab, &dims, 5);
+        for buf in slab.iter_segs() {
+            assert_eq!(buf, &payload[..]);
         }
     }
 
-    #[test]
-    fn allport_esbt_broadcast_is_semantically_a_broadcast() {
-        let mut hc = machine(3);
-        let dims = [0u32, 1, 2];
-        let payload: Vec<u64> = (0..24).collect();
-        let mut locals = hc.locals_from_fn(|n| if n == 2 { payload.clone() } else { vec![] });
-        broadcast_with(&mut hc, &mut locals, &dims, 2, BroadcastSchedule::AllPortEsbt);
-        for buf in &locals {
-            assert_eq!(buf, &payload);
-        }
+    /// Simulated time of a `len`-element broadcast from node 0 over a
+    /// whole 6-cube under `cost`: `(binomial, scatter+allgather)`.
+    fn broadcast_times(cost: CostModel, len: usize) -> (f64, f64) {
+        let dims: Vec<u32> = (0..6).collect();
+        let run = |balanced: bool| {
+            let mut hc = Hypercube::new(6, cost);
+            let mut slab = rooted(&hc, 0, &vec![1; len]);
+            if balanced {
+                broadcast_scatter_allgather(&mut hc, &mut slab, &dims, 0);
+            } else {
+                crate::collective::broadcast_slab(&mut hc, &mut slab, &dims, 0);
+            }
+            hc.elapsed_us()
+        };
+        (run(false), run(true))
     }
 
     #[test]
     fn large_messages_favour_scatter_allgather() {
-        let len = 4096usize;
-        let dims: Vec<u32> = (0..6).collect();
-        let run = |sched| {
-            let mut hc = machine(6);
-            let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; len] } else { vec![] });
-            broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
-            hc.elapsed_us()
-        };
-        let binomial = run(BroadcastSchedule::Binomial);
-        let balanced = run(BroadcastSchedule::ScatterAllgather);
-        let allport = run(BroadcastSchedule::AllPortEsbt);
+        let (binomial, balanced) = broadcast_times(CostModel::unit(), 4096);
+        let all_port = CostModel { ports: PortModel::AllPort, ..CostModel::unit() };
+        let (allport, _) = broadcast_times(all_port, 4096);
         assert!(balanced < binomial, "balanced {balanced} vs binomial {binomial}");
         assert!(allport < balanced, "allport {allport} vs balanced {balanced}");
     }
@@ -514,35 +499,9 @@ mod tests {
     #[test]
     fn small_messages_favour_binomial() {
         // With alpha big relative to beta*L, fewer start-ups win.
-        let dims: Vec<u32> = (0..6).collect();
-        let run = |sched| {
-            let mut hc = Hypercube::new(6, CostModel { alpha: 100.0, ..CostModel::unit() });
-            let mut locals = hc.locals_from_fn(|n| if n == 0 { vec![1.0f64; 4] } else { vec![] });
-            broadcast_with(&mut hc, &mut locals, &dims, 0, sched);
-            hc.elapsed_us()
-        };
-        let binomial = run(BroadcastSchedule::Binomial);
-        let balanced = run(BroadcastSchedule::ScatterAllgather);
+        let (binomial, balanced) =
+            broadcast_times(CostModel { alpha: 100.0, ..CostModel::unit() }, 4);
         assert!(binomial < balanced, "binomial {binomial} vs balanced {balanced}");
-    }
-
-    #[test]
-    fn reduce_scatter_gather_matches_binomial_reduce() {
-        let mut hc1 = machine(4);
-        let dims: Vec<u32> = hc1.cube().iter_dims().collect();
-        let make =
-            |hc: &Hypercube| hc.locals_from_fn(|n| (0..33).map(|i| (n * 100 + i) as f64).collect());
-        let mut a = make(&hc1);
-        reduce_scatter_gather(&mut hc1, &mut a, &dims, |x, y| x + y);
-
-        let mut hc2 = machine(4);
-        let mut b = make(&hc2);
-        crate::collective::reduce(&mut hc2, &mut b, &dims, 0, |x, y| x + y);
-
-        assert_eq!(a[0].len(), 33);
-        for (x, y) in a[0].iter().zip(&b[0]) {
-            assert!((x - y).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -550,14 +509,16 @@ mod tests {
         let mut hc1 = machine(3);
         let dims: Vec<u32> = hc1.cube().iter_dims().collect();
         let make = |hc: &Hypercube| {
-            hc.locals_from_fn(|n| (0..17).map(|i| ((n + 1) * (i + 1)) as f64).collect())
+            NodeSlab::from_nested(
+                &hc.locals_from_fn(|n| (0..17).map(|i| ((n + 1) * (i + 1)) as f64).collect()),
+            )
         };
         let mut a = make(&hc1);
         allreduce_rabenseifner(&mut hc1, &mut a, &dims, |x, y| x + y);
 
         let mut hc2 = machine(3);
         let mut b = make(&hc2);
-        crate::collective::allreduce(&mut hc2, &mut b, &dims, |x, y| x + y);
+        crate::collective::allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
 
         for n in 0..8 {
             assert_eq!(a[n].len(), 17, "node {n}");
@@ -572,11 +533,11 @@ mod tests {
         let dims: Vec<u32> = (0..6).collect();
         let len = 8192usize;
         let mut hc1 = Hypercube::new(6, CostModel::zero_latency());
-        let mut a = hc1.locals_from_fn(|_| vec![1.0f64; len]);
+        let mut a = NodeSlab::filled(&[len; 64], 1.0f64);
         allreduce_rabenseifner(&mut hc1, &mut a, &dims, |x, y| x + y);
         let mut hc2 = Hypercube::new(6, CostModel::zero_latency());
-        let mut b = hc2.locals_from_fn(|_| vec![1.0f64; len]);
-        crate::collective::allreduce(&mut hc2, &mut b, &dims, |x, y| x + y);
+        let mut b = NodeSlab::filled(&[len; 64], 1.0f64);
+        crate::collective::allreduce_slab(&mut hc2, &mut b, &dims, |x, y| x + y);
         assert!(hc1.elapsed_us() < 0.7 * hc2.elapsed_us());
     }
 }

@@ -13,12 +13,20 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use vmp_hypercube::collective::{
-    self, allgather, allreduce, broadcast, reduce, reference, scan_inclusive,
+    allgather_slab, allreduce_slab, broadcast_slab, reduce_slab, reference, scan_inclusive_slab,
 };
 use vmp_hypercube::cost::CostModel;
 use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_hypercube::spanning::EsbtForest;
+
+/// Run `op` on a slab copy of `locals`, then copy the result back.
+fn on_nested<T: Copy>(locals: &mut Vec<Vec<T>>, op: impl FnOnce(&mut NodeSlab<T>)) {
+    let mut slab = NodeSlab::from_nested(locals);
+    op(&mut slab);
+    *locals = slab.to_nested();
+}
 
 /// Deterministic pseudo-random payloads; fp addition over these is
 /// order-sensitive, so payload equality pins the combine order.
@@ -126,35 +134,35 @@ proptest! {
         let want = run(&|hc, d| reference::broadcast(hc, d, &dims, root));
         let mut got = payloads(p, len, seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        broadcast(&mut hc, &mut got, &dims, root);
+        on_nested(&mut got, |s| broadcast_slab(&mut hc, s, &dims, root));
         prop_assert_eq!(&want, &got, "broadcast payload");
 
         // reduce
         let want = run(&|hc, d| reference::reduce(hc, d, &dims, root, |a, b| a + b));
         let mut got = payloads(p, len, seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        reduce(&mut hc, &mut got, &dims, root, |a, b| a + b);
+        on_nested(&mut got, |s| reduce_slab(&mut hc, s, &dims, root, |a, b| a + b));
         prop_assert_eq!(&want, &got, "reduce payload");
 
         // allreduce
         let want = run(&|hc, d| reference::allreduce(hc, d, &dims, |a, b| a + b));
         let mut got = payloads(p, len, seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        allreduce(&mut hc, &mut got, &dims, |a, b| a + b);
+        on_nested(&mut got, |s| allreduce_slab(&mut hc, s, &dims, |a, b| a + b));
         prop_assert_eq!(&want, &got, "allreduce payload");
 
         // allgather
         let want = run(&|hc, d| reference::allgather(hc, d, &dims));
         let mut got = payloads(p, len, seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        allgather(&mut hc, &mut got, &dims);
+        on_nested(&mut got, |s| allgather_slab(&mut hc, s, &dims));
         prop_assert_eq!(&want, &got, "allgather payload");
 
         // scan
         let want = run(&|hc, d| reference::scan_inclusive(hc, d, &dims, |a, b| a + b));
         let mut got = payloads(p, len, seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        scan_inclusive(&mut hc, &mut got, &dims, |a, b| a + b);
+        on_nested(&mut got, |s| scan_inclusive_slab(&mut hc, s, &dims, |a, b| a + b));
         prop_assert_eq!(&want, &got, "scan payload");
     }
 
@@ -177,7 +185,7 @@ proptest! {
         reference::broadcast(&mut hc_ref, &mut want, &dims, 0);
         let mut got = ragged(seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        broadcast(&mut hc, &mut got, &dims, 0);
+        on_nested(&mut got, |s| broadcast_slab(&mut hc, s, &dims, 0));
         prop_assert_eq!(&want, &got, "ragged broadcast payload");
 
         let mut want = ragged(seed);
@@ -185,7 +193,7 @@ proptest! {
         reference::allgather(&mut hc_ref, &mut want, &dims);
         let mut got = ragged(seed);
         let mut hc = Hypercube::new(dim, CostModel::cm2_allport());
-        allgather(&mut hc, &mut got, &dims);
+        on_nested(&mut got, |s| allgather_slab(&mut hc, s, &dims));
         prop_assert_eq!(&want, &got, "ragged allgather payload");
     }
 }
@@ -207,13 +215,13 @@ fn recoverable_faults_force_exact_single_port_fallback() {
     for plan in plans {
         let mut clean = payloads(p, len, 3);
         let mut hc_clean = Hypercube::new(dim, CostModel::cm2_allport());
-        allreduce(&mut hc_clean, &mut clean, &dims, |a, b| a + b);
+        on_nested(&mut clean, |s| allreduce_slab(&mut hc_clean, s, &dims, |a, b| a + b));
 
         let run = |cost: CostModel| {
             let mut data = payloads(p, len, 3);
             let mut hc = Hypercube::new(dim, cost);
             hc.install_faults(plan.clone(), ResilientConfig::default());
-            allreduce(&mut hc, &mut data, &dims, |a, b| a + b);
+            on_nested(&mut data, |s| allreduce_slab(&mut hc, s, &dims, |a, b| a + b));
             hc.clear_faults();
             (data, hc.elapsed_us(), *hc.counters())
         };
@@ -238,12 +246,12 @@ fn healthy_allport_runs_counted_steps_and_beats_single_port() {
 
     let mut data_sp = payloads(p, len, 1);
     let mut hc_sp = Hypercube::new(dim, CostModel::cm2());
-    broadcast(&mut hc_sp, &mut data_sp, &dims, 0);
+    on_nested(&mut data_sp, |s| broadcast_slab(&mut hc_sp, s, &dims, 0));
     assert_eq!(hc_sp.counters().allport_steps, 0, "one-port model never runs ported steps");
 
     let mut data_ap = payloads(p, len, 1);
     let mut hc_ap = Hypercube::new(dim, CostModel::cm2_allport());
-    broadcast(&mut hc_ap, &mut data_ap, &dims, 0);
+    on_nested(&mut data_ap, |s| broadcast_slab(&mut hc_ap, s, &dims, 0));
     assert_eq!(data_sp, data_ap);
     let counters = hc_ap.counters();
     assert!(counters.allport_steps > 0, "large broadcast must take the ported schedule");
@@ -253,25 +261,4 @@ fn healthy_allport_runs_counted_steps_and_beats_single_port() {
     );
     let speedup = hc_sp.elapsed_us() / hc_ap.elapsed_us();
     assert!(speedup >= 2.0, "broadcast at p={p} len={len}: {speedup:.2}x below the bar");
-}
-
-/// Slab entry points agree with the Vec adapters under the all-port
-/// model (the adapters are thin wrappers, but the slab path is what the
-/// experiments drive).
-#[test]
-fn slab_and_vec_paths_agree_under_allport() {
-    let dim = 5u32;
-    let dims: Vec<u32> = (0..dim).collect();
-    let p = 1usize << dim;
-    let mut via_vec = payloads(p, 16, 11);
-    let mut hc1 = Hypercube::new(dim, CostModel::cm2_allport());
-    allreduce(&mut hc1, &mut via_vec, &dims, |a, b| a + b);
-
-    let mut slab = vmp_hypercube::slab::NodeSlab::from_nested(&payloads(p, 16, 11));
-    let mut hc2 = Hypercube::new(dim, CostModel::cm2_allport());
-    collective::allreduce_slab(&mut hc2, &mut slab, &dims, |a, b| a + b);
-    assert_eq!(hc1.elapsed_us(), hc2.elapsed_us());
-    assert_eq!(hc1.counters(), hc2.counters());
-    let flat: Vec<f64> = via_vec.into_iter().flatten().collect();
-    assert_eq!(flat, slab.data().to_vec());
 }

@@ -9,15 +9,24 @@
 use proptest::prelude::*;
 
 use vmp_hypercube::collective::{
-    allgather, allreduce, alltoall, broadcast, gather, reduce, scan_inclusive, scatter,
+    allgather_slab, allreduce_slab, alltoall_slab, broadcast_slab, gather_slab, reduce_slab,
+    scan_inclusive_slab, scatter_slab,
 };
 use vmp_hypercube::cost::CostModel;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Block};
 use vmp_hypercube::router::{route_elements, ElemMsg};
+use vmp_hypercube::slab::{NodeSlab, SegSlab};
 
 fn machine(dim: u32) -> Hypercube {
     Hypercube::new(dim, CostModel::unit())
+}
+
+/// Run `op` on a slab copy of `locals`, then copy the result back.
+fn on_nested<T: Copy>(locals: &mut Vec<Vec<T>>, op: impl FnOnce(&mut NodeSlab<T>)) {
+    let mut slab = NodeSlab::from_nested(locals);
+    op(&mut slab);
+    *locals = slab.to_nested();
 }
 
 /// A strategy for a dimension subset of a `dim`-cube, as a bitmask.
@@ -126,7 +135,7 @@ proptest! {
 
         // allreduce: every node gets the subcube-wide elementwise sum.
         let mut data = base.clone();
-        allreduce(&mut hc, &mut data, &dims, |a, b| a + b);
+        on_nested(&mut data, |s| allreduce_slab(&mut hc, s, &dims, |a, b| a + b));
         for node in 0..p {
             for i in 0..len {
                 let expect: i64 = cube
@@ -139,7 +148,7 @@ proptest! {
 
         // reduce to coordinate 0 within each subcube.
         let mut data = base.clone();
-        reduce(&mut hc, &mut data, &dims, 0, |a, b| a + b);
+        on_nested(&mut data, |s| reduce_slab(&mut hc, s, &dims, 0, |a, b| a + b));
         for node in 0..p {
             if node & submask == 0 {
                 for i in 0..len {
@@ -153,7 +162,7 @@ proptest! {
 
         // broadcast from coordinate 0.
         let mut data = base.clone();
-        broadcast(&mut hc, &mut data, &dims, 0);
+        on_nested(&mut data, |s| broadcast_slab(&mut hc, s, &dims, 0));
         for node in 0..p {
             let root = node & !submask;
             prop_assert_eq!(&data[node], &base[root], "broadcast node {}", node);
@@ -161,7 +170,7 @@ proptest! {
 
         // scan (inclusive) in coordinate order.
         let mut data = base.clone();
-        scan_inclusive(&mut hc, &mut data, &dims, |a, b| a + b);
+        on_nested(&mut data, |s| scan_inclusive_slab(&mut hc, s, &dims, |a, b| a + b));
         for node in 0..p {
             let my_coord = cube.extract_coords(node, &dims);
             for i in 0..len {
@@ -191,7 +200,7 @@ proptest! {
         // allgather: concatenation in coordinate order, identical within
         // a subcube.
         let mut data = base.clone();
-        allgather(&mut hc, &mut data, &dims);
+        on_nested(&mut data, |s| allgather_slab(&mut hc, s, &dims));
         for node in 0..p {
             let mut members: Vec<usize> = cube.subcube_nodes(node, &dims).collect();
             members.sort_by_key(|&m| cube.extract_coords(m, &dims));
@@ -201,7 +210,7 @@ proptest! {
 
         // gather then scatter returns everyone's chunk.
         let mut data = base.clone();
-        gather(&mut hc, &mut data, &dims);
+        on_nested(&mut data, |s| gather_slab(&mut hc, s, &dims));
         let k = dims.len();
         let segments: Vec<Vec<Vec<u32>>> = (0..p)
             .map(|node| {
@@ -216,7 +225,7 @@ proptest! {
                 }
             })
             .collect();
-        let spread = scatter(&mut hc, segments, &dims);
+        let spread = scatter_slab(&mut hc, &SegSlab::from_nested(&segments, 1 << k), &dims).to_nested();
         for node in 0..p {
             prop_assert_eq!(&spread[node], &base[node], "roundtrip node {}", node);
         }
@@ -240,7 +249,7 @@ proptest! {
                     .collect()
             })
             .collect();
-        let recv = alltoall(&mut hc, send, &dims);
+        let recv = alltoall_slab(&mut hc, &SegSlab::from_nested(&send, 1 << k), &dims).to_nested();
         for node in 0..p {
             let my_c = cube.extract_coords(node, &dims);
             for src_c in 0..(1usize << k) {

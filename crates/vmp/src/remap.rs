@@ -20,6 +20,7 @@
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::Scalar;
@@ -200,6 +201,7 @@ pub fn remap_vector<T: Scalar>(
     hc.charge_moves(max_unpacked);
 
     // Replicated target: broadcast from the primary line.
+    let mut locals = NodeSlab::from_nested_owned(locals);
     if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = new_layout.embedding()
     {
         let grid = new_layout.grid().clone();
@@ -209,10 +211,10 @@ pub fn remap_vector<T: Scalar>(
         };
         // Primary holders sit on grid line 0, whose subcube coordinate is
         // encoding(0) == 0 for both encodings.
-        collective::broadcast(hc, &mut locals, dims, 0);
+        collective::broadcast_slab(hc, &mut locals, dims, 0);
     }
 
-    DistVector::from_parts(new_layout, locals)
+    DistVector::from_slab(new_layout, locals)
 }
 
 /// Transpose a matrix: the result has the transposed shape on the

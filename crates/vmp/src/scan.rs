@@ -17,6 +17,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Dist, Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
@@ -111,13 +112,11 @@ fn scan_impl<T: Scalar, O: ReduceOp<T>>(
     // simplest correct scheme — allgather the (part, total) pairs and
     // fold locally in part order. `2^k` tiny elements per node; the
     // extra bandwidth is `p_c` scalars, well below one chunk.
-    let mut tagged: Vec<Vec<(usize, T)>> = (0..p)
-        .map(|node| {
-            let part = layout.part_of(node);
-            vec![(part, totals[node][0])]
-        })
-        .collect();
-    collective::allgather(hc, &mut tagged, &chunk_dims);
+    let mut tagged = NodeSlab::with_capacity(p, p);
+    for node in 0..p {
+        tagged.push_seg(&[(layout.part_of(node), totals[node][0])]);
+    }
+    collective::allgather_slab(hc, &mut tagged, &chunk_dims);
     let parts = 1usize << chunk_dims.len();
     let mut offsets: Vec<Vec<T>> = Vec::with_capacity(p);
     for node in 0..p {
@@ -270,15 +269,16 @@ pub fn route_permutation<T: Scalar>(
             .collect();
     }
     // Replicated targets: broadcast along orthogonal dims.
+    let mut locals = NodeSlab::from_nested_owned(locals);
     if let VecEmbedding::Aligned { axis, placement: Placement::Replicated } = layout.embedding() {
         let grid = layout.grid().clone();
         let dims = match axis {
             Axis::Row => grid.row_dims(),
             Axis::Col => grid.col_dims(),
         };
-        collective::broadcast(hc, &mut locals, dims, 0);
+        collective::broadcast_slab(hc, &mut locals, dims, 0);
     }
-    DistVector::from_parts(layout, locals)
+    DistVector::from_slab(layout, locals)
 }
 
 /// Exclusive count of `true`s before each position — Blelloch's

@@ -88,8 +88,9 @@ proptest! {
         for d in 0..dim {
             let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
             let want = reference::exchange(&mut hc_seed, &nested, d);
-            let got = collective::exchange(&mut hc_slab, &nested, d);
-            prop_assert_eq!(&want, &got, "exchange dim {} payload", d);
+            let mut got = NodeSlab::from_nested(&nested);
+            collective::exchange_slab(&mut hc_slab, &mut got, d);
+            prop_assert_eq!(&want, &got.to_nested(), "exchange dim {} payload", d);
             assert_machines_identical(&hc_seed, &hc_slab, "exchange");
         }
 
@@ -97,18 +98,18 @@ proptest! {
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::allgather(&mut hc_seed, &mut want, &dims);
-        let mut got = nested.clone();
-        collective::allgather(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got, "allgather payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::allgather_slab(&mut hc_slab, &mut got, &dims);
+        prop_assert_eq!(&want, &got.to_nested(), "allgather payload");
         assert_machines_identical(&hc_seed, &hc_slab, "allgather");
 
         // gather to coordinate 0
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::gather(&mut hc_seed, &mut want, &dims);
-        let mut got = nested.clone();
-        collective::gather(&mut hc_slab, &mut got, &dims);
-        prop_assert_eq!(&want, &got, "gather payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::gather_slab(&mut hc_slab, &mut got, &dims);
+        prop_assert_eq!(&want, &got.to_nested(), "gather payload");
         assert_machines_identical(&hc_seed, &hc_slab, "gather");
     }
 
@@ -128,33 +129,33 @@ proptest! {
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::allreduce(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::allreduce(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "allreduce payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::allreduce_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "allreduce payload");
         assert_machines_identical(&hc_seed, &hc_slab, "allreduce");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::reduce(&mut hc_seed, &mut want, &dims, root, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::reduce(&mut hc_slab, &mut got, &dims, root, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "reduce payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::reduce_slab(&mut hc_slab, &mut got, &dims, root, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "reduce payload");
         assert_machines_identical(&hc_seed, &hc_slab, "reduce");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::scan_inclusive(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::scan_inclusive(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "scan_inclusive payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::scan_inclusive_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "scan_inclusive payload");
         assert_machines_identical(&hc_seed, &hc_slab, "scan_inclusive");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::scan_exclusive(&mut hc_seed, &mut want, &dims, 0.0, |a, b| a + b);
-        let mut got = nested.clone();
-        collective::scan_exclusive(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
-        prop_assert_eq!(&want, &got, "scan_exclusive payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::scan_exclusive_slab(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
+        prop_assert_eq!(&want, &got.to_nested(), "scan_exclusive payload");
         assert_machines_identical(&hc_seed, &hc_slab, "scan_exclusive");
     }
 
@@ -175,9 +176,9 @@ proptest! {
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
         reference::broadcast(&mut hc_seed, &mut want, &dims, root);
-        let mut got = nested.clone();
-        collective::broadcast(&mut hc_slab, &mut got, &dims, root);
-        prop_assert_eq!(&want, &got, "broadcast payload");
+        let mut got = NodeSlab::from_nested(&nested);
+        collective::broadcast_slab(&mut hc_slab, &mut got, &dims, root);
+        prop_assert_eq!(&want, &got.to_nested(), "broadcast payload");
         assert_machines_identical(&hc_seed, &hc_slab, "broadcast");
 
         let send: Vec<Vec<Vec<f64>>> = (0..p)
@@ -352,7 +353,9 @@ fn collectives_match_reference_after_remap_node() {
         };
 
         check("exchange", &|hc| reference::exchange(hc, &ragged, 0), &|hc| {
-            collective::exchange(hc, &ragged, 0)
+            let mut s = NodeSlab::from_nested(&ragged);
+            collective::exchange_slab(hc, &mut s, 0);
+            s.to_nested()
         });
         check(
             "allgather",
@@ -362,9 +365,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = ragged.clone();
-                collective::allgather(hc, &mut l, &dims);
-                l
+                let mut s = NodeSlab::from_nested(&ragged);
+                collective::allgather_slab(hc, &mut s, &dims);
+                s.to_nested()
             },
         );
         check(
@@ -375,9 +378,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = ragged.clone();
-                collective::gather(hc, &mut l, &dims);
-                l
+                let mut s = NodeSlab::from_nested(&ragged);
+                collective::gather_slab(hc, &mut s, &dims);
+                s.to_nested()
             },
         );
         check(
@@ -388,9 +391,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = ragged.clone();
-                collective::broadcast(hc, &mut l, &dims, root);
-                l
+                let mut s = NodeSlab::from_nested(&ragged);
+                collective::broadcast_slab(hc, &mut s, &dims, root);
+                s.to_nested()
             },
         );
         check(
@@ -401,9 +404,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = uniform.clone();
-                collective::reduce(hc, &mut l, &dims, root, |a, b| a + b);
-                l
+                let mut s = NodeSlab::from_nested(&uniform);
+                collective::reduce_slab(hc, &mut s, &dims, root, |a, b| a + b);
+                s.to_nested()
             },
         );
         check(
@@ -414,9 +417,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = uniform.clone();
-                collective::allreduce(hc, &mut l, &dims, |a, b| a + b);
-                l
+                let mut s = NodeSlab::from_nested(&uniform);
+                collective::allreduce_slab(hc, &mut s, &dims, |a, b| a + b);
+                s.to_nested()
             },
         );
         check(
@@ -427,9 +430,9 @@ fn collectives_match_reference_after_remap_node() {
                 l
             },
             &|hc| {
-                let mut l = uniform.clone();
-                collective::scan_inclusive(hc, &mut l, &dims, |a, b| a + b);
-                l
+                let mut s = NodeSlab::from_nested(&uniform);
+                collective::scan_inclusive_slab(hc, &mut s, &dims, |a, b| a + b);
+                s.to_nested()
             },
         );
         let send: Vec<Vec<Vec<f64>>> = (0..p)

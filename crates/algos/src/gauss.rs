@@ -17,7 +17,7 @@
 //! `O(ceil(n/p_r) * ceil(n/p_c))` — this is why the default layout for
 //! elimination is cyclic (bench T4 includes the block-layout ablation).
 
-use vmp_core::elem::{ArgMaxAbs, Loc, ReduceOp, Sum};
+use vmp_core::elem::{ArgMaxAbs, Loc, ReduceOp};
 use vmp_core::prelude::*;
 use vmp_core::primitives;
 use vmp_hypercube::machine::Hypercube;
@@ -43,8 +43,9 @@ pub struct GeStats {
 
 /// Componentwise sum on `(f64, f64, f64)` — folds the three back-
 /// substitution quantities (dot product, rhs, diagonal) in one butterfly.
+/// [`crate::lu`]'s back substitution folds its triple with it too.
 #[derive(Debug, Clone, Copy, Default)]
-struct Sum3;
+pub(crate) struct Sum3;
 
 impl ReduceOp<(f64, f64, f64)> for Sum3 {
     fn identity(&self) -> (f64, f64, f64) {
@@ -251,37 +252,6 @@ pub fn ge_solve_dist(
     Ok((back_substitute(hc, aug), stats))
 }
 
-/// A no-pivoting variant (ablation; only safe for diagonally dominant
-/// systems): skips the arg-max search and the row swaps. Used by bench
-/// T4 to price what pivoting costs in primitive operations.
-///
-/// # Errors
-/// [`GeError::Singular`] if a diagonal entry is numerically zero.
-pub fn forward_eliminate_no_pivot(
-    hc: &mut Hypercube,
-    aug: &mut DistMatrix<f64>,
-) -> Result<(), GeError> {
-    let n = aug.shape().rows;
-    let width = aug.shape().cols;
-    assert!(width > n, "augmented matrix expected");
-    for k in 0..n {
-        let row_k = primitives::extract_replicated(hc, aug, Axis::Row, k);
-        let col_k = primitives::extract_replicated(hc, aug, Axis::Col, k);
-        let akk = row_k.reduce_lifted(hc, Sum, |j, v| if j == k { v } else { 0.0 });
-        if akk.abs() < GE_EPS {
-            return Err(GeError::Singular);
-        }
-        aug.rank1_update_ranged(hc, &col_k, &row_k, k + 1..n, k..width, move |_, j, a, c, r| {
-            if j == k {
-                0.0
-            } else {
-                a - (c / akk) * r
-            }
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,22 +372,6 @@ mod tests {
         ]);
         let (mut hc, grid) = machine_and_grid(2);
         assert_eq!(ge_solve(&mut hc, &a, &[1.0, 2.0, 0.5], grid).unwrap_err(), GeError::Singular);
-    }
-
-    #[test]
-    fn no_pivot_variant_agrees_on_dominant_systems() {
-        let n = 12;
-        let (a, b, _) = workloads::diag_dominant_system(n, 9);
-        let (mut hc1, grid1) = machine_and_grid(4);
-        let mut aug1 = build_augmented(&a, &b, grid1);
-        forward_eliminate_no_pivot(&mut hc1, &mut aug1).expect("dominant");
-        let x1 = back_substitute(&mut hc1, &aug1);
-        let (mut hc2, grid2) = machine_and_grid(4);
-        let (x2, stats) = ge_solve(&mut hc2, &a, &b, grid2).expect("dominant");
-        assert_eq!(stats.row_swaps, 0, "dominant diagonal needs no swaps");
-        for (a1, a2) in x1.iter().zip(&x2) {
-            assert_eq!(a1, a2, "identical pivot sequence, identical floats");
-        }
     }
 
     #[test]

@@ -14,21 +14,8 @@ use vmp_core::prelude::*;
 use vmp_core::primitives;
 use vmp_hypercube::machine::Hypercube;
 
-use crate::gauss::{GeError, GE_EPS};
+use crate::gauss::{GeError, Sum3, GE_EPS};
 use crate::serial::Dense;
-
-/// Componentwise 3-sum (shared with back substitution).
-#[derive(Debug, Clone, Copy, Default)]
-struct Sum3;
-
-impl vmp_core::elem::ReduceOp<(f64, f64, f64)> for Sum3 {
-    fn identity(&self) -> (f64, f64, f64) {
-        (0.0, 0.0, 0.0)
-    }
-    fn combine(&self, a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
-        (a.0 + b.0, a.1 + b.1, a.2 + b.2)
-    }
-}
 
 /// A distributed LU factorisation with partial pivoting: `P A = L U`,
 /// stored compactly (unit-diagonal `L` strictly below, `U` on and

@@ -73,26 +73,6 @@ pub fn solve_parallel_with(
     assemble(status, &t, &basis, lp, iterations)
 }
 
-/// The pivot loop on an already-distributed tableau; returns the final
-/// status, basis, and iteration count. Exposed for benches that want to
-/// time a fixed number of pivots.
-pub fn pivot_loop(
-    hc: &mut Hypercube,
-    t: &mut DistMatrix<f64>,
-    m: usize,
-    n: usize,
-    max_iterations: usize,
-) -> (SimplexStatus, Vec<usize>, usize) {
-    debug_assert_eq!(t.shape(), MatShape::new(m + 1, n + m + 1));
-    let mut basis: Vec<usize> = (n..n + m).collect();
-    let rhs_col = n + m;
-    match run_phase_parallel(hc, t, &mut basis, m, m, move |j| j < rhs_col, max_iterations) {
-        PhaseEnd::Optimal(iters) => (SimplexStatus::Optimal, basis, iters),
-        PhaseEnd::Unbounded(iters) => (SimplexStatus::Unbounded, basis, iters),
-        PhaseEnd::MaxIterations => (SimplexStatus::MaxIterations, basis, max_iterations),
-    }
-}
-
 enum PhaseEnd {
     Optimal(usize),
     Unbounded(usize),

@@ -69,10 +69,7 @@ pub const DESCRIPTIONS: [(&str, &str); 19] = [
         "allport",
         "all-port collectives vs single-port schedules (p up to 1024, + BENCH_allport.json)",
     ),
-    (
-        "wallclock",
-        "host wall-clock: slab data plane vs seed nested-Vec path (+ BENCH_wallclock.json)",
-    ),
+    ("wallclock", "host wall-clock of the slab data plane (+ BENCH_wallclock.json)"),
 ];
 
 /// Knobs shared by the experiment drivers. Only the artifact-emitting

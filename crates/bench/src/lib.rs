@@ -15,8 +15,8 @@
 //! | SCHED | multi-tenant subcube scheduler vs whole-machine FCFS (`BENCH_sched.json`) |
 //!
 //! Run everything with `cargo run --release -p vmp-bench --bin reproduce`,
-//! or a subset with e.g. `-- t1 f4`. Criterion wall-clock benches of the
-//! same kernels live in `benches/`.
+//! or a subset with e.g. `-- t1 f4`. `-- wallclock` times the host
+//! side of the same kernels (`BENCH_wallclock.json`).
 
 #![warn(missing_docs)]
 

@@ -2,10 +2,12 @@
 //!
 //! [`Hypercube`] bundles the cube topology, the cost model, a simulated
 //! clock and event counters. It does **not** own application data:
-//! distributed data lives in per-processor buffers (`Vec<Vec<T>>`, indexed
-//! by [`NodeId`]) held by the caller, and the communication routines in
-//! [`crate::collective`] and [`crate::route`] transform those buffers
-//! while charging the machine for the time the operation would take.
+//! distributed data lives in per-processor buffers held by the caller —
+//! slab arenas ([`crate::slab::NodeSlab`], [`crate::slab::SegSlab`]) with
+//! one segment per [`NodeId`] for the collectives in [`crate::collective`],
+//! per-node block lists for the router in [`crate::route`] — and those
+//! routines transform the buffers while charging the machine for the
+//! time the operation would take.
 //!
 //! The accounting discipline is BSP-like and matches the analyses in the
 //! Johnsson/Ho reports: execution is a sequence of *supersteps*; a

@@ -250,6 +250,16 @@ mod tests {
             hc.elapsed_us(),
             predicted_distribute_concentrated(&l, &cost)
         );
+
+        // From a replicated row: communication-free, one local-move
+        // superstep over the block.
+        let r = primitives::extract_replicated(&mut hc, &m, Axis::Row, 0);
+        hc.reset();
+        let _ = primitives::distribute(&mut hc, &r, 32, Dist::Cyclic);
+        assert_eq!(hc.elapsed_us(), predicted_distribute_replicated(&l, &cost));
+        let mut want = Hypercube::new(6, cost);
+        want.charge_moves(local_block(&l));
+        assert_eq!(hc.counters(), want.counters());
     }
 
     #[test]

@@ -231,7 +231,8 @@ proptest! {
     }
 
     /// The tiled rank-1 kernel is bit-identical to the seed per-element
-    /// offset walk (`off / lc`, `off % lc`) on random shapes.
+    /// offset walk (`off / lc`, `off % lc`) on random shapes, and charges
+    /// exactly the seed's one `2·block` flop superstep.
     #[test]
     fn tiled_rank1_matches_seed_walk(
         dim in 0u32..=4,
@@ -274,8 +275,11 @@ proptest! {
             }
         }
 
-        let mut hc = Hypercube::cm2(dim);
-        m.rank1_update(&mut hc, &col, &row, |_, _, a, c, r| a - c * r);
+        let mut hc_seed = Hypercube::cm2(dim);
+        hc_seed.charge_flops(2 * layout.max_local_len());
+
+        let mut hc_slab = Hypercube::cm2(dim);
+        m.rank1_update(&mut hc_slab, &col, &row, |_, _, a, c, r| a - c * r);
         let dense = m.to_dense();
         for (i, drow) in dense.iter().enumerate() {
             for (j, &d) in drow.iter().enumerate() {
@@ -284,6 +288,7 @@ proptest! {
                 prop_assert_eq!(d, nested[node][off], "divergence at ({}, {})", i, j);
             }
         }
+        assert_machines_identical(&hc_seed, &hc_slab, "rank1 update");
     }
 }
 

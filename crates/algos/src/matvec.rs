@@ -6,12 +6,19 @@
 //!
 //! ```text
 //! y  =  reduce(+, Row,  A .* distribute(x))      -- conceptually
-//!    =  reduce(+, Row,  zip_axis(A, Col, x, *))  -- fused, no temporary
+//!    =  reduce(+, Row,  zip_axis(A, Col, x, *))  -- x never copied m times
+//!    =  reduce_zip_axis(A, Col, x, *, Row, +)    -- fused, no product
 //! ```
 //!
-//! Both the distribute-then-multiply spelling and the fused spelling are
-//! provided; they are semantically identical, and the pair shows what the
-//! elementwise combinators buy (one less `m`-element temporary).
+//! [`vecmat`] and [`matvec`] run the fused form,
+//! [`primitives::reduce_zip_axis`]: each node multiplies its block into
+//! a scratch buffer, reused from node to node, and folds it into its
+//! partial sums, so neither the `m`-element copy of `x` nor the
+//! `m`-element product is ever built. The result, clock and counters are
+//! bit-identical to the two-pass `zip_axis` + `reduce` spelling. [`vecmat_via_distribute`] keeps the unfused
+//! distribute-then-multiply spelling, which pays one extra `m`-element
+//! temporary and elementwise pass — the gap the elementwise combinators
+//! buy.
 
 use vmp_core::elem::{Numeric, Sum};
 use vmp_core::prelude::*;
@@ -29,8 +36,7 @@ pub fn vecmat<T: Numeric>(
     a: &DistMatrix<T>,
 ) -> DistVector<T> {
     let x = align(hc, x, a, Axis::Col);
-    let prod = a.zip_axis(hc, Axis::Col, &x, |_, _, aij, xi| aij * xi);
-    primitives::reduce(hc, &prod, Axis::Row, Sum)
+    primitives::reduce_zip_axis(hc, a, Axis::Col, &x, |_, _, aij, xi| aij * xi, Axis::Row, Sum)
 }
 
 /// `y = A x`: `x` is a row-aligned vector of length `cols`, the result a
@@ -41,8 +47,7 @@ pub fn matvec<T: Numeric>(
     x: &DistVector<T>,
 ) -> DistVector<T> {
     let x = align(hc, x, a, Axis::Row);
-    let prod = a.zip_axis(hc, Axis::Row, &x, |_, _, aij, xj| aij * xj);
-    primitives::reduce(hc, &prod, Axis::Col, Sum)
+    primitives::reduce_zip_axis(hc, a, Axis::Row, &x, |_, _, aij, xj| aij * xj, Axis::Col, Sum)
 }
 
 /// The unfused spelling of [`vecmat`] through `distribute`: materialises

@@ -181,6 +181,18 @@ impl<T> NodeSlab<T> {
         std::mem::swap(&mut self.data, &mut other.data);
     }
 
+    /// A slab over `data` with the same segment lengths as `like` — the
+    /// output arena of an elementwise pass over `like`, built as one flat
+    /// `Vec` without a per-segment builder step.
+    ///
+    /// # Panics
+    /// Panics if `data.len() != like.total_len()`.
+    #[must_use]
+    pub fn with_segs_of<U>(like: &NodeSlab<U>, data: Vec<T>) -> Self {
+        assert_eq!(data.len(), like.total_len(), "data must fill the segments of `like`");
+        NodeSlab { offsets: like.offsets.clone(), data }
+    }
+
     /// Move the nested representation into a slab (one copy per
     /// element, no per-node clones needed afterwards).
     #[must_use]
@@ -420,6 +432,21 @@ mod tests {
         assert_eq!(&slab[2], &[4][..]);
         assert_eq!(slab.to_nested(), nested);
         assert_eq!(slab.offsets(), &[0, 3, 3, 4, 6]);
+    }
+
+    #[test]
+    fn with_segs_of_reuses_the_segment_lengths() {
+        let like = NodeSlab::from_nested(&[vec![1u8, 2], vec![], vec![3]]);
+        let slab = NodeSlab::with_segs_of(&like, vec![-1.0f64, -2.0, -3.0]);
+        assert_eq!(slab.offsets(), like.offsets());
+        assert_eq!(slab.to_nested(), vec![vec![-1.0, -2.0], vec![], vec![-3.0]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fill the segments")]
+    fn with_segs_of_checks_the_data_length() {
+        let like = NodeSlab::from_nested(&[vec![1u8, 2], vec![3]]);
+        let _ = NodeSlab::with_segs_of(&like, vec![0u8; 2]);
     }
 
     #[test]

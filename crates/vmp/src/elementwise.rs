@@ -13,33 +13,108 @@
 //! ## Kernel shape
 //!
 //! Every matrix kernel here is *tiled by local row*: a node's block is
-//! stored row-major in one contiguous slab segment, so the drivers
-//! precompute the global row/column index tables once per node and then
-//! stream each local row with `chunks_exact` — a contiguous,
-//! bounds-check-free inner loop the compiler can autovectorise. The
-//! visit order (local offset order) and the combine expressions are
-//! exactly those of the naive `local_elements` walk, so results are
-//! bit-identical; only the host-side address arithmetic changed.
+//! stored row-major in one contiguous slab segment. The global row and
+//! column indices of every slot come from `IndexTables`, built once
+//! per call. Each local row is then one pass over contiguous slices:
+//!
+//! * kernels that build a new matrix (`map`, `zip_axis`, and
+//!   `DistMatrix::from_fn`) append each row to the output arena with one
+//!   `Vec::extend` from an exact-length iterator, so the arena is written
+//!   once, in order, with no per-element `push`;
+//! * in-place kernels (`map_inplace`, `zip_axis_inplace`, the rank-1
+//!   updates) rewrite each row through `chunks_exact_mut`;
+//! * vector `map`/`zip` extend one flat `Vec` chunk by chunk and reuse
+//!   the input's segment offsets.
+//!
+//! `ZipAxisBlocks` produces `zip_axis`'s output one node at a time, so
+//! `primitives::reduce_zip_axis` can fold a node's products without ever
+//! building the product matrix. The visit order (local offset order) and
+//! the combine expressions are exactly those of the naive
+//! `local_elements` walk, so results are bit-identical; only the
+//! host-side address arithmetic changed.
 
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, AxisDist, MatrixLayout};
+use vmp_layout::{Axis, AxisDist, MatrixLayout, ProcGrid};
 
 use crate::elem::Scalar;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
 
-/// Global row / column index tables for one node's local block: the
-/// tiled kernels look indices up instead of calling `global_index` per
-/// element. `gi[li]` is the global row of local row `li`; `gj[lj]` the
-/// global column of local column `lj`. `gj.len()` is the local column
-/// count, i.e. the row stride of the block.
-fn index_tables(layout: &MatrixLayout, node: usize) -> (Vec<usize>, Vec<usize>) {
-    let (gr, gc) = layout.grid().grid_coords(node);
-    let (lr, lc) = layout.local_shape(node);
-    let gi = (0..lr).map(|li| layout.rows().global_index(gr, li)).collect();
-    let gj = (0..lc).map(|lj| layout.cols().global_index(gc, lj)).collect();
-    (gi, gj)
+/// Global row / column index tables for every node's local block, built
+/// once per call: the tiled kernels look indices up instead of calling
+/// `global_index` per element.
+pub(crate) struct IndexTables<'l> {
+    grid: &'l ProcGrid,
+    rows: Windows,
+    cols: Windows,
+}
+
+impl<'l> IndexTables<'l> {
+    pub(crate) fn new(layout: &'l MatrixLayout) -> Self {
+        let shape = layout.shape();
+        IndexTables {
+            grid: layout.grid(),
+            rows: Windows::new(layout.rows(), 0..shape.rows),
+            cols: Windows::new(layout.cols(), 0..shape.cols),
+        }
+    }
+
+    /// `(gi, gj)` for `node`: `gi[li]` is the global row of local row
+    /// `li`, `gj[lj]` the global column of local column `lj`. `gj.len()`
+    /// is the local column count, i.e. the row stride of the block.
+    pub(crate) fn of(&self, node: usize) -> (&[usize], &[usize]) {
+        let (gr, gc) = self.grid.grid_coords(node);
+        (self.rows.part(gr).2, self.cols.part(gc).2)
+    }
+}
+
+/// The blocks of [`DistMatrix::zip_axis`], produced one node at a time.
+/// `zip_axis` appends every block to its output arena;
+/// [`crate::primitives::reduce_zip_axis`] computes each into a scratch
+/// buffer, folds it and reuses the buffer for the next node, so it never
+/// builds the product matrix.
+pub(crate) struct ZipAxisBlocks<'a, T, U, F> {
+    m: &'a DistMatrix<T>,
+    axis: Axis,
+    v: &'a DistVector<U>,
+    f: F,
+    tables: IndexTables<'a>,
+}
+
+impl<'a, T: Scalar, U: Scalar, V, F: Fn(usize, usize, T, U) -> V> ZipAxisBlocks<'a, T, U, F> {
+    /// # Panics
+    /// Panics unless `v` is aligned with `m` along `axis` (see
+    /// [`DistMatrix::zip_axis`]).
+    pub(crate) fn new(m: &'a DistMatrix<T>, axis: Axis, v: &'a DistVector<U>, f: F) -> Self {
+        m.check_axis_aligned(axis, v);
+        ZipAxisBlocks { m, axis, v, f, tables: IndexTables::new(m.layout()) }
+    }
+
+    /// Append node `node`'s block of `f(i, j, x, u)` values to `out`, one
+    /// local row at a time.
+    pub(crate) fn node(&self, node: usize, out: &mut Vec<V>) {
+        let buf = &self.m.locals()[node];
+        if buf.is_empty() {
+            return;
+        }
+        let chunk = &self.v.locals()[node];
+        let f = &self.f;
+        let (gi, gj) = self.tables.of(node);
+        for ((li, &i), row) in gi.iter().enumerate().zip(buf.chunks_exact(gj.len())) {
+            match self.axis {
+                // A row vector is indexed by the column slot.
+                Axis::Row => {
+                    out.extend(gj.iter().zip(row).zip(chunk).map(|((&j, &x), &u)| f(i, j, x, u)));
+                }
+                // A column vector is constant across each local row.
+                Axis::Col => {
+                    let u = chunk[li];
+                    out.extend(gj.iter().zip(row).map(|(&j, &x)| f(i, j, x, u)));
+                }
+            }
+        }
+    }
 }
 
 /// The local slot window of a global index range on every part of an
@@ -88,18 +163,15 @@ impl<T: Scalar> DistMatrix<T> {
         let layout = self.layout().clone();
         let p = layout.grid().p();
         let locals = self.locals();
+        let tables = IndexTables::new(&layout);
         let out = NodeSlab::build(p, locals.total_len(), |node, o| {
             let buf = &locals[node];
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
-            o.reserve(buf.len());
-            for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                let i = gi[li];
-                for (&j, &x) in gj.iter().zip(row) {
-                    o.push(f(i, j, x));
-                }
+            let (gi, gj) = tables.of(node);
+            for (&i, row) in gi.iter().zip(buf.chunks_exact(gj.len())) {
+                o.extend(gj.iter().zip(row).map(|(&j, &x)| f(i, j, x)));
             }
         });
         hc.charge_flops(layout.max_local_len());
@@ -109,11 +181,12 @@ impl<T: Scalar> DistMatrix<T> {
     /// In-place elementwise update: `self[i][j] = f(i, j, self[i][j])`.
     pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, usize, T) -> T) {
         let layout = self.layout().clone();
+        let tables = IndexTables::new(&layout);
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.of(node);
             for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
                 let i = gi[li];
                 for (&j, x) in gj.iter().zip(row.iter_mut()) {
@@ -162,40 +235,10 @@ impl<T: Scalar> DistMatrix<T> {
         v: &DistVector<U>,
         f: impl Fn(usize, usize, T, U) -> V,
     ) -> DistMatrix<V> {
-        self.check_axis_aligned(axis, v);
+        let blocks = ZipAxisBlocks::new(self, axis, v, f);
         let layout = self.layout().clone();
-        let p = layout.grid().p();
-        let locals = self.locals();
-        let v_locals = v.locals();
-        let out = NodeSlab::build(p, locals.total_len(), |node, o| {
-            let buf = &locals[node];
-            if buf.is_empty() {
-                return;
-            }
-            let chunk = &v_locals[node];
-            let (gi, gj) = index_tables(&layout, node);
-            o.reserve(buf.len());
-            match axis {
-                // A row vector is indexed by the column slot.
-                Axis::Row => {
-                    for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                        let i = gi[li];
-                        for ((&j, &x), &u) in gj.iter().zip(row).zip(chunk) {
-                            o.push(f(i, j, x, u));
-                        }
-                    }
-                }
-                // A column vector is constant across each local row.
-                Axis::Col => {
-                    for (li, row) in buf.chunks_exact(gj.len()).enumerate() {
-                        let i = gi[li];
-                        let u = chunk[li];
-                        for (&j, &x) in gj.iter().zip(row) {
-                            o.push(f(i, j, x, u));
-                        }
-                    }
-                }
-            }
+        let out = NodeSlab::build(layout.grid().p(), self.locals().total_len(), |node, o| {
+            blocks.node(node, o);
         });
         hc.charge_flops(layout.max_local_len());
         DistMatrix::from_slab(layout, out)
@@ -211,13 +254,14 @@ impl<T: Scalar> DistMatrix<T> {
     ) {
         self.check_axis_aligned(axis, v);
         let layout = self.layout().clone();
+        let tables = IndexTables::new(&layout);
         let v_locals = v.locals();
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
             let chunk = &v_locals[node];
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.of(node);
             match axis {
                 Axis::Row => {
                     for (li, row) in buf.chunks_exact_mut(gj.len()).enumerate() {
@@ -255,13 +299,14 @@ impl<T: Scalar> DistMatrix<T> {
         self.check_axis_aligned(Axis::Col, col);
         self.check_axis_aligned(Axis::Row, row);
         let layout = self.layout().clone();
+        let tables = IndexTables::new(&layout);
         let col_locals = col.locals();
         let row_locals = row.locals();
         self.locals_mut().for_each_seg_mut(|node, buf| {
             if buf.is_empty() {
                 return;
             }
-            let (gi, gj) = index_tables(&layout, node);
+            let (gi, gj) = tables.of(node);
             let col_chunk = &col_locals[node];
             let row_chunk = &row_locals[node];
             for (li, mrow) in buf.chunks_exact_mut(gj.len()).enumerate() {
@@ -349,27 +394,17 @@ impl<T: Scalar> DistVector<T> {
     pub fn map<U: Scalar>(&self, hc: &mut Hypercube, f: impl Fn(usize, T) -> U) -> DistVector<U> {
         let layout = self.layout().clone();
         let locals = self.locals();
-        let p = locals.p();
-        let mut out = NodeSlab::with_capacity(p, locals.total_len());
-        let mut max_chunk = 0usize;
-        for node in 0..p {
-            let buf = &locals[node];
-            max_chunk = max_chunk.max(buf.len());
-            out.push_seg_with(|o| {
-                if buf.is_empty() {
-                    return;
-                }
-                let part = layout.part_of(node);
-                o.reserve(buf.len());
-                o.extend(
-                    buf.iter()
-                        .enumerate()
-                        .map(|(slot, &x)| f(layout.dist().global_index(part, slot), x)),
-                );
-            });
+        let mut data = Vec::with_capacity(locals.total_len());
+        for (node, buf) in locals.iter_segs().enumerate() {
+            let part = layout.part_of(node);
+            data.extend(
+                buf.iter()
+                    .enumerate()
+                    .map(|(slot, &x)| f(layout.dist().global_index(part, slot), x)),
+            );
         }
-        hc.charge_flops(max_chunk);
-        DistVector::from_slab(layout, out)
+        hc.charge_flops(locals.max_seg_len());
+        DistVector::from_slab(layout, NodeSlab::with_segs_of(locals, data))
     }
 
     /// Elementwise combination of two identically laid out vectors.
@@ -383,29 +418,18 @@ impl<T: Scalar> DistVector<T> {
         assert_eq!(self.layout(), other.layout(), "zip operands must share a layout");
         let layout = self.layout().clone();
         let locals = self.locals();
-        let p = locals.p();
-        let mut out = NodeSlab::with_capacity(p, locals.total_len());
-        let mut max_chunk = 0usize;
-        for node in 0..p {
-            let a = &locals[node];
-            let b = &other.locals()[node];
-            max_chunk = max_chunk.max(a.len());
-            out.push_seg_with(|o| {
-                if a.is_empty() {
-                    return;
-                }
-                let part = layout.part_of(node);
-                o.reserve(a.len());
-                o.extend(
-                    a.iter()
-                        .zip(b)
-                        .enumerate()
-                        .map(|(slot, (&x, &y))| f(layout.dist().global_index(part, slot), x, y)),
-                );
-            });
+        let mut data = Vec::with_capacity(locals.total_len());
+        for (node, (a, b)) in locals.iter_segs().zip(other.locals().iter_segs()).enumerate() {
+            let part = layout.part_of(node);
+            data.extend(
+                a.iter()
+                    .zip(b)
+                    .enumerate()
+                    .map(|(slot, (&x, &y))| f(layout.dist().global_index(part, slot), x, y)),
+            );
         }
-        hc.charge_flops(max_chunk);
-        DistVector::from_slab(layout, out)
+        hc.charge_flops(locals.max_seg_len());
+        DistVector::from_slab(layout, NodeSlab::with_segs_of(locals, data))
     }
 }
 

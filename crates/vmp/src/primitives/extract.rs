@@ -1,6 +1,7 @@
 //! `extract`: pull one row (or column) of a matrix out as a vector.
 
 use vmp_hypercube::machine::Hypercube;
+use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, Placement, VectorLayout};
 
 use crate::elem::Scalar;
@@ -23,49 +24,55 @@ pub fn extract<T: Scalar>(
     index: usize,
 ) -> DistVector<T> {
     let layout = m.layout();
-    let grid = layout.grid().clone();
+    let grid = layout.grid();
     let shape = layout.shape();
-    let p = grid.p();
-    let mut locals: Vec<Vec<T>> = vec![Vec::new(); p];
+    let locals = m.locals();
 
+    // The concentrated result is built straight into one arena: the
+    // owning grid line's nodes copy their slice of the line, every other
+    // node gets an empty segment.
     match axis {
         Axis::Row => {
             assert!(index < shape.rows, "row {index} out of range 0..{}", shape.rows);
             let gr = layout.rows().owner(index);
             let li = layout.rows().local_index(index);
-            for gc in 0..grid.pc() {
-                let node = grid.node_at(gr, gc);
-                let (_, lc) = layout.local_shape(node);
-                locals[node] = m.locals()[node][li * lc..(li + 1) * lc].to_vec();
-            }
+            let chunks = NodeSlab::build(grid.p(), shape.cols, |node, out| {
+                let (ngr, gc) = grid.grid_coords(node);
+                if ngr == gr {
+                    let lc = layout.cols().count(gc);
+                    out.extend_from_slice(&locals[node][li * lc..(li + 1) * lc]);
+                }
+            });
             hc.charge_moves(layout.cols().max_count());
             let vl = VectorLayout::aligned(
                 shape.cols,
-                grid,
+                grid.clone(),
                 Axis::Row,
                 Placement::Concentrated(gr),
                 layout.cols().kind(),
             );
-            DistVector::from_parts(vl, locals)
+            DistVector::from_slab(vl, chunks)
         }
         Axis::Col => {
             assert!(index < shape.cols, "column {index} out of range 0..{}", shape.cols);
             let gc = layout.cols().owner(index);
             let lj = layout.cols().local_index(index);
-            for gr in 0..grid.pr() {
-                let node = grid.node_at(gr, gc);
-                let (lr, lc) = layout.local_shape(node);
-                locals[node] = (0..lr).map(|li| m.locals()[node][li * lc + lj]).collect();
-            }
+            let chunks = NodeSlab::build(grid.p(), shape.rows, |node, out| {
+                let (_, ngc) = grid.grid_coords(node);
+                if ngc == gc {
+                    let lc = layout.cols().count(gc);
+                    out.extend(locals[node].chunks_exact(lc).map(|row| row[lj]));
+                }
+            });
             hc.charge_moves(layout.rows().max_count());
             let vl = VectorLayout::aligned(
                 shape.rows,
-                grid,
+                grid.clone(),
                 Axis::Col,
                 Placement::Concentrated(gc),
                 layout.rows().kind(),
             );
-            DistVector::from_parts(vl, locals)
+            DistVector::from_slab(vl, chunks)
         }
     }
 }

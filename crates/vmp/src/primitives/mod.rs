@@ -35,4 +35,4 @@ pub use insert::insert;
 pub use panel::{
     extract_col_panel_replicated, extract_row_panel_replicated, panel_gemm, ColPanel, RowPanel,
 };
-pub use reduce::{reduce, reduce_to};
+pub use reduce::{reduce, reduce_to, reduce_zip_axis};

@@ -3,11 +3,38 @@
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Placement, VectorLayout};
+use vmp_layout::{Axis, MatrixLayout, Placement, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
+use crate::elementwise::ZipAxisBlocks;
 use crate::matrix::DistMatrix;
 use crate::vector::DistVector;
+
+/// Where [`local_fold`] reads each node's block from.
+trait Blocks<T> {
+    /// Node `node`'s local block, row-major. `scratch` is a buffer the
+    /// block may be computed into.
+    fn block<'s>(&'s self, node: usize, scratch: &'s mut Vec<T>) -> &'s [T];
+}
+
+/// [`reduce`] folds the stored blocks.
+impl<T: Scalar> Blocks<T> for DistMatrix<T> {
+    fn block<'s>(&'s self, node: usize, _: &'s mut Vec<T>) -> &'s [T] {
+        &self.locals()[node]
+    }
+}
+
+/// [`reduce_zip_axis`] computes one node's products at a time into the
+/// scratch buffer, so the product matrix never exists.
+impl<T: Scalar, U: Scalar, V: Scalar, F: Fn(usize, usize, T, U) -> V> Blocks<V>
+    for ZipAxisBlocks<'_, T, U, F>
+{
+    fn block<'s>(&'s self, node: usize, scratch: &'s mut Vec<V>) -> &'s [V] {
+        scratch.clear();
+        self.node(node, scratch);
+        scratch
+    }
+}
 
 /// Fold every node's local block along `axis` into a partial vector:
 /// for `Axis::Row`, partial `[lj] = op-fold over li`; for `Axis::Col`,
@@ -17,13 +44,12 @@ use crate::vector::DistVector;
 /// naive offset walk.
 fn local_fold<T: Scalar, O: ReduceOp<T>>(
     hc: &mut Hypercube,
-    m: &DistMatrix<T>,
+    layout: &MatrixLayout,
+    blocks: &impl Blocks<T>,
     axis: Axis,
     op: O,
 ) -> NodeSlab<T> {
-    let layout = m.layout();
     let p = layout.grid().p();
-    let locals = m.locals();
     let total_hint: usize = (0..p)
         .map(|node| {
             let (lr, lc) = layout.local_shape(node);
@@ -33,9 +59,10 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
             }
         })
         .sum();
+    let mut scratch = Vec::new();
     let partials = NodeSlab::build(p, total_hint, |node, out| {
         let (lr, lc) = layout.local_shape(node);
-        let buf = &locals[node];
+        let buf = blocks.block(node, &mut scratch);
         match axis {
             Axis::Row => {
                 // `out` may already hold earlier nodes' segments (the
@@ -74,7 +101,7 @@ fn local_fold<T: Scalar, O: ReduceOp<T>>(
 
 /// The dims the partials must be combined over, and the result layout
 /// factory.
-fn comm_dims(m_layout: &vmp_layout::MatrixLayout, axis: Axis) -> &'static [u32] {
+fn comm_dims(m_layout: &MatrixLayout, axis: Axis) -> &'static [u32] {
     match axis {
         // Combining all matrix rows means combining across grid rows,
         // i.e. over the cube dims that encode the grid-row index.
@@ -83,11 +110,7 @@ fn comm_dims(m_layout: &vmp_layout::MatrixLayout, axis: Axis) -> &'static [u32] 
     }
 }
 
-fn result_layout(
-    m_layout: &vmp_layout::MatrixLayout,
-    axis: Axis,
-    placement: Placement,
-) -> VectorLayout {
+fn result_layout(m_layout: &MatrixLayout, axis: Axis, placement: Placement) -> VectorLayout {
     let n = m_layout.shape().vector_len(axis);
     let kind = m_layout.vector_dist(axis).kind();
     VectorLayout::aligned(n, m_layout.grid().clone(), axis, placement, kind)
@@ -109,7 +132,39 @@ pub fn reduce<T: Scalar, O: ReduceOp<T>>(
     axis: Axis,
     op: O,
 ) -> DistVector<T> {
-    let mut partials = local_fold(hc, m, axis, op);
+    let mut partials = local_fold(hc, m.layout(), m, axis, op);
+    let dims = comm_dims(m.layout(), axis);
+    collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
+    DistVector::from_slab(result_layout(m.layout(), axis, Placement::Replicated), partials)
+}
+
+/// `reduce(hc, &m.zip_axis(hc, zaxis, v, f), axis, op)` without the
+/// product matrix: each node's block of `f(i, j, x, u)` is computed into
+/// one scratch buffer, reused from node to node, and folded straight
+/// into that node's partial vector. This is the fused multiply-fold of
+/// `y = reduce(+, A .* distribute(x))` behind `matvec`/`vecmat`.
+///
+/// Results, clock and counters are bit-identical to the two-pass form:
+/// the visit order and combine expressions are the same, and the machine
+/// is charged the same two local passes (the product, then the fold) and
+/// the same all-reduce.
+///
+/// # Panics
+/// Panics as [`DistMatrix::zip_axis`] does unless `v` is `zaxis`-aligned,
+/// replicated and chunked like the matrix.
+pub fn reduce_zip_axis<T: Scalar, U: Scalar, V: Scalar, O: ReduceOp<V>>(
+    hc: &mut Hypercube,
+    m: &DistMatrix<T>,
+    zaxis: Axis,
+    v: &DistVector<U>,
+    f: impl Fn(usize, usize, T, U) -> V,
+    axis: Axis,
+    op: O,
+) -> DistVector<V> {
+    let products = ZipAxisBlocks::new(m, zaxis, v, f);
+    // The elementwise product pass, charged exactly as `zip_axis` does.
+    hc.charge_flops(m.layout().max_local_len());
+    let mut partials = local_fold(hc, m.layout(), &products, axis, op);
     let dims = comm_dims(m.layout(), axis);
     collective::allreduce_slab(hc, &mut partials, dims, |a, b| op.combine(a, b));
     DistVector::from_slab(result_layout(m.layout(), axis, Placement::Replicated), partials)
@@ -127,7 +182,7 @@ pub fn reduce_to<T: Scalar, O: ReduceOp<T>>(
     op: O,
     line: usize,
 ) -> DistVector<T> {
-    let mut partials = local_fold(hc, m, axis, op);
+    let mut partials = local_fold(hc, m.layout(), m, axis, op);
     let dims = comm_dims(m.layout(), axis);
     let grid = m.layout().grid();
     let root_coord = match axis {

@@ -25,18 +25,12 @@ impl<T: Scalar> DistVector<T> {
     #[must_use]
     pub fn from_fn(layout: VectorLayout, mut f: impl FnMut(usize) -> T) -> Self {
         let p = layout.grid().p();
-        let mut locals = NodeSlab::with_capacity(p, layout.stored_elements());
-        for node in 0..p {
-            let len = layout.local_len(node);
-            locals.push_seg_with(|buf| {
-                if len > 0 {
-                    let part = layout.part_of(node);
-                    for slot in 0..len {
-                        buf.push(f(layout.dist().global_index(part, slot)));
-                    }
-                }
-            });
-        }
+        let locals = NodeSlab::build(p, layout.stored_elements(), |node, buf| {
+            let part = layout.part_of(node);
+            buf.extend(
+                (0..layout.local_len(node)).map(|slot| f(layout.dist().global_index(part, slot))),
+            );
+        });
         DistVector { layout, locals }
     }
 
@@ -177,13 +171,13 @@ impl<T: Scalar> DistVector<T> {
         }
         hc.charge_flops(max_chunk);
 
-        // Combine partials machine-wide. Replicated embeddings hold each
-        // chunk `r` times; combining over ALL cube dims would fold each
-        // chunk `r` times, which is wrong for non-idempotent ops (sum).
-        // Instead: combine over the chunked direction, then broadcast-by-
-        // allreduce over the orthogonal direction using a "first wins"
-        // blend is unsound for identities... the clean way: zero out the
-        // non-primary replicas first, then allreduce everywhere.
+        // Combine partials machine-wide. A replicated embedding holds each
+        // chunk on every grid line, so an all-reduce over every cube dim
+        // would fold each chunk once per replica, which is wrong for
+        // non-idempotent ops (sum). The rule: keep the partials of one
+        // primary grid line, set every other replica's partial to
+        // `op.identity()`, then all-reduce over every dim. Each chunk is
+        // then folded exactly once and the result lands on every node.
         match self.layout.embedding() {
             VecEmbedding::Linear => {
                 let dims: Vec<u32> = grid.cube().iter_dims().collect();

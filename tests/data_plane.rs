@@ -7,7 +7,9 @@
 //! **bit-identical** to the seed path — payloads, simulated clock, and
 //! event counters — across random machine sizes, buffer shapes, and
 //! fault plans. Bitwise equality (no float tolerance) is the point: the
-//! data plane may change host speed only, never a single result bit.
+//! data plane may change host speed only, never a single result bit. The
+//! same holds for the fused local kernels: `matvec`/`vecmat` are checked
+//! against the unfused `zip_axis` + `reduce` composition.
 
 // Proptest sweeps are far too slow under Miri's interpreter; the
 // dedicated Miri CI job covers the library's unsafe/aliasing surface
@@ -289,6 +291,59 @@ proptest! {
             }
         }
         assert_machines_identical(&hc_seed, &hc_slab, "rank1 update");
+    }
+
+    /// `matvec`/`vecmat` fold the products as they compute them, without
+    /// materialising the product matrix. That is bit-identical to the
+    /// two-pass oracle that builds the product with `zip_axis` and folds
+    /// it with `reduce`: same payload, same clock, same counters. It holds
+    /// on ragged blocks (some nodes empty), under drops and after a node
+    /// remap (load factor 2).
+    #[test]
+    fn fused_matvec_matches_zip_then_reduce(
+        dim in 0u32..=4,
+        dr_frac in 0u32..=4,
+        rows in 1usize..=17,
+        cols in 1usize..=17,
+        kind in prop_oneof![Just(Dist::Block), Just(Dist::Cyclic)],
+        drops in prop_oneof![Just(None), (1u64..=50, Just(0.2f64)).prop_map(Some)],
+        remap in prop_oneof![Just(false), Just(true)],
+    ) {
+        let dr = dr_frac.min(dim);
+        let grid = ProcGrid::new(Cube::new(dim), dr);
+        let layout = MatrixLayout::new(MatShape::new(rows, cols), grid, kind, kind);
+        let a = DistMatrix::from_fn(layout.clone(), val);
+        let remap = remap && dim > 0;
+
+        // matvec takes a row vector and folds along the columns; vecmat
+        // takes a column vector and folds along the rows.
+        for (axis, fold) in [(Axis::Row, Axis::Col), (Axis::Col, Axis::Row)] {
+            let xl = VectorLayout::aligned(
+                layout.shape().vector_len(axis),
+                layout.grid().clone(),
+                axis,
+                Placement::Replicated,
+                kind,
+            );
+            let x = DistVector::from_fn(xl, |k| val(k, 7));
+            let (mut hc_oracle, mut hc_fused) = machine_pair(dim, drops);
+            if remap {
+                let last = layout.grid().p() - 1;
+                hc_oracle.remap_node(last, 0);
+                hc_fused.remap_node(last, 0);
+                prop_assert_eq!(hc_fused.load_factor(), 2);
+            }
+
+            let prod = a.zip_axis(&mut hc_oracle, axis, &x, |_, _, aij, xk| aij * xk);
+            let want = primitives::reduce(&mut hc_oracle, &prod, fold, Sum);
+            let got = match axis {
+                Axis::Row => matvec(&mut hc_fused, &a, &x),
+                Axis::Col => vecmat(&mut hc_fused, &x, &a),
+            };
+            prop_assert_eq!(got.layout(), want.layout(), "{:?} result layout", axis);
+            prop_assert_eq!(got.chunks().to_nested(), want.chunks().to_nested(), "{:?} payload", axis);
+            assert_machines_identical(&hc_oracle, &hc_fused, "fused matvec");
+        }
     }
 }
 

@@ -134,6 +134,52 @@ fn more_processors_than_elements() {
     let layout = MatrixLayout::cyclic(MatShape::new(3, 3), grid(6));
     let m = DistMatrix::from_fn(layout, |i, j| (i * 3 + j) as i64);
     m.assert_consistent();
+    let dense = |f: &dyn Fn(usize, usize) -> i64| -> Vec<Vec<i64>> {
+        (0..3).map(|i| (0..3).map(|j| f(i, j)).collect()).collect()
+    };
+    assert_eq!(m.to_dense(), dense(&|i, j| (i * 3 + j) as i64));
+
+    // The element builders leave an empty segment on every node that
+    // owns nothing.
+    let mapped = m.map(&mut hc, |i, j, v| v * 10 + i64::from(i == j));
+    mapped.assert_consistent();
+    assert_eq!(mapped.to_dense(), dense(&|i, j| (i * 3 + j) as i64 * 10 + i64::from(i == j)));
+    for axis in [Axis::Row, Axis::Col] {
+        let vl = VectorLayout::aligned(3, grid(6), axis, Placement::Replicated, Dist::Cyclic);
+        let v = DistVector::from_fn(vl, |k| k as i64 + 1);
+        let z = m.zip_axis(&mut hc, axis, &v, |_, _, a, u| a * u);
+        z.assert_consistent();
+        let k = |i: usize, j: usize| if axis == Axis::Row { j } else { i };
+        assert_eq!(z.to_dense(), dense(&|i, j| (i * 3 + j) as i64 * (k(i, j) as i64 + 1)));
+    }
+    let seg_lens_match = |v: &DistVector<i64>| {
+        v.assert_consistent();
+        for node in 0..64 {
+            assert_eq!(v.chunks().len_of(node), v.layout().local_len(node), "node {node}");
+        }
+    };
+    let cl = VectorLayout::aligned(3, grid(6), Axis::Col, Placement::Concentrated(5), Dist::Cyclic);
+    let c = DistVector::from_fn(cl, |i| i as i64 * 2);
+    let cm = c.map(&mut hc, |i, v| v + i as i64);
+    let cz = c.zip(&mut hc, &cm, |i, a, b| a * b + i as i64);
+    seg_lens_match(&cm);
+    seg_lens_match(&cz);
+    assert_eq!(cm.to_dense(), vec![0, 3, 6]);
+    assert_eq!(cz.to_dense(), vec![0, 7, 26]);
+
+    // extract with n < p_r (rows) and n < p_c (columns).
+    for axis in [Axis::Row, Axis::Col] {
+        for index in 0..3 {
+            let e = primitives::extract(&mut hc, &m, axis, index);
+            seg_lens_match(&e);
+            let want: Vec<i64> = match axis {
+                Axis::Row => (0..3).map(|j| (index * 3 + j) as i64).collect(),
+                Axis::Col => (0..3).map(|i| (i * 3 + index) as i64).collect(),
+            };
+            assert_eq!(e.to_dense(), want, "{axis:?} {index}");
+        }
+    }
+
     let s = primitives::reduce(&mut hc, &m, Axis::Row, Sum);
     assert_eq!(s.to_dense(), vec![9, 12, 15]);
     let t = remap::transpose(&mut hc, &m);

@@ -42,7 +42,8 @@ pub struct GeStats {
 }
 
 /// Componentwise sum on `(f64, f64, f64)` — folds the three back-
-/// substitution quantities (dot product, rhs, diagonal) in one butterfly.
+/// substitution quantities (dot product, rhs, diagonal) in one
+/// all-reduce.
 /// [`crate::lu`]'s back substitution folds its triple with it too.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Sum3;
@@ -177,16 +178,20 @@ pub fn back_substitute_col(hc: &mut Hypercube, aug: &DistMatrix<f64>, rhs_col: u
 
     for k in (0..n).rev() {
         let row = primitives::extract_replicated(hc, aug, Axis::Row, k);
-        let triple = row.zip(hc, &x, move |j, r, xj| {
-            (
-                if j > k && j < n { r * xj } else { 0.0 }, // dot with known part
-                if j == rhs_col { r } else { 0.0 },        // rhs_k
-                if j == k { r } else { 0.0 },              // a_kk
-            )
-        });
-        let (dot, rhs, akk) = triple.reduce_all(hc, Sum3);
+        let (dot, rhs, akk) = row.zip_reduce(
+            hc,
+            &x,
+            move |j, r, xj| {
+                (
+                    if j > k && j < n { r * xj } else { 0.0 }, // dot with known part
+                    if j == rhs_col { r } else { 0.0 },        // rhs_k
+                    if j == k { r } else { 0.0 },              // a_kk
+                )
+            },
+            Sum3,
+        );
         let xk = (rhs - dot) / akk;
-        x = x.map(hc, move |j, v| if j == k { xk } else { v });
+        x.map_inplace(hc, move |j, v| if j == k { xk } else { v });
     }
     x.to_dense()[..n].to_vec()
 }

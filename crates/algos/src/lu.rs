@@ -103,23 +103,25 @@ impl DistLu {
         let mut y = DistVector::constant(layout.clone(), 0.0f64);
         for k in 0..n {
             let row = primitives::extract_replicated(hc, &self.lu, Axis::Row, k);
-            let dot = row
-                .zip(hc, &y, move |j, l, yj| if j < k { l * yj } else { 0.0 })
-                .reduce_all(hc, Sum);
+            let dot = row.zip_reduce(hc, &y, move |j, l, yj| if j < k { l * yj } else { 0.0 }, Sum);
             let yk = pb[k] - dot;
-            y = y.map(hc, move |j, v| if j == k { yk } else { v });
+            y.map_inplace(hc, move |j, v| if j == k { yk } else { v });
         }
         // Back substitution: x_k = (y_k - sum_{j>k} U_kj x_j) / U_kk.
         let mut x = DistVector::constant(layout, 0.0f64);
         for k in (0..n).rev() {
             let row = primitives::extract_replicated(hc, &self.lu, Axis::Row, k);
             let yk = y.reduce_lifted(hc, Sum, move |j, v| if j == k { v } else { 0.0 });
-            let triple = row.zip(hc, &x, move |j, u, xj| {
-                (if j > k { u * xj } else { 0.0 }, 0.0, if j == k { u } else { 0.0 })
-            });
-            let (dot, _, ukk) = triple.reduce_all(hc, Sum3);
+            let (dot, _, ukk) = row.zip_reduce(
+                hc,
+                &x,
+                move |j, u, xj| {
+                    (if j > k { u * xj } else { 0.0 }, 0.0, if j == k { u } else { 0.0 })
+                },
+                Sum3,
+            );
             let xk = (yk - dot) / ukk;
-            x = x.map(hc, move |j, v| if j == k { xk } else { v });
+            x.map_inplace(hc, move |j, v| if j == k { xk } else { v });
         }
         x.to_dense()
     }

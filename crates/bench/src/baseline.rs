@@ -1,11 +1,11 @@
 //! Guarded writes for the committed `BENCH_*.json` baselines.
 //!
-//! The wall-clock and all-port experiments emit JSON artifacts that are
-//! committed as regression baselines. Two accidents can silently destroy
-//! a good baseline: a `--smoke` CI run replacing a full-sized one, and a
-//! re-run replacing an artifact that was already regenerated after the
-//! current binary was built. [`guarded_write`] refuses both unless the
-//! caller passes `--force`.
+//! The wall-clock, all-port and scheduler experiments emit JSON
+//! artifacts that are committed as regression baselines. Two accidents
+//! can silently destroy a good baseline: a `--smoke` CI run replacing a
+//! full-sized one, and a re-run replacing an artifact that was already
+//! regenerated after the current binary was built. [`guarded_write`]
+//! refuses both unless the caller passes `--force`.
 
 use std::path::Path;
 use std::time::SystemTime;

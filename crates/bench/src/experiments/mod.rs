@@ -82,9 +82,9 @@ pub struct RunOpts {
     /// Overwrite protected `BENCH_*.json` baselines (see
     /// [`crate::baseline`]).
     pub force: bool,
-    /// Override the `BENCH_*.json` output path (`allport` and
-    /// `wallclock`; select one experiment when setting this, or they
-    /// will write to the same file).
+    /// Override the `BENCH_*.json` output path (`allport`, `sched` and
+    /// `wallclock`; select one of them when setting this, or they will
+    /// write to the same file).
     pub json_path: Option<String>,
 }
 
@@ -104,7 +104,6 @@ pub fn run_opts(id: &str, smoke: bool) -> Option<Table> {
 /// As [`run`], with the full knob set.
 #[must_use]
 pub fn run_with(id: &str, opts: &RunOpts) -> Option<Table> {
-    let smoke = opts.smoke;
     match id.to_ascii_lowercase().as_str() {
         "t1" => Some(primitives_exp::t1()),
         "t2" => Some(primitives_exp::t2()),
@@ -122,7 +121,7 @@ pub fn run_with(id: &str, opts: &RunOpts) -> Option<Table> {
         "x5" => Some(extensions_exp::x5()),
         "x6" => Some(extensions_exp::x6()),
         "r1" => Some(fault_exp::r1()),
-        "sched" => Some(sched_exp::sched(smoke)),
+        "sched" => Some(sched_exp::sched(opts)),
         "allport" => Some(allport_exp::allport(opts)),
         "wallclock" => Some(wallclock_exp::wallclock(opts)),
         _ => None,

@@ -17,12 +17,16 @@
 //! scheduled job's result words are asserted bit-identical to a
 //! standalone run of the same job — space-sharing may change when a job
 //! runs, never what it computes. Results also land in
-//! `BENCH_sched.json` for regression tracking.
+//! `BENCH_sched.json` for regression tracking, through the same guarded
+//! write as the other artifacts (a smoke run never replaces the full
+//! baseline).
 
 use serde::Serialize;
 use vmp_hypercube::cost::CostModel;
 use vmp_sched::{run_fcfs, run_trace, Metrics, Policy, SimConfig, SimOutcome, Trace, TraceParams};
 
+use crate::baseline::guarded_write;
+use crate::experiments::RunOpts;
 use crate::table::{fmt_us, Table};
 
 /// What `BENCH_sched.json` holds: the trace shape plus one metrics
@@ -54,9 +58,12 @@ fn assert_bit_identical(trace: &Trace, out: &SimOutcome, cost: CostModel, label:
 }
 
 /// SCHED: subcube space-sharing vs exclusive FCFS on one seeded trace.
-/// `smoke` shrinks the machine to 64 nodes and the trace to 12 jobs.
+/// `opts.smoke` shrinks the machine to 64 nodes and the trace to 12
+/// jobs; `opts.json_path` and `opts.force` steer the guarded baseline
+/// write.
 #[must_use]
-pub fn sched(smoke: bool) -> Table {
+pub fn sched(opts: &RunOpts) -> Table {
+    let smoke = opts.smoke;
     let params = if smoke { TraceParams::smoke() } else { TraceParams::full() };
     let seed = 1989u64;
     let cost = CostModel::cm2();
@@ -93,11 +100,8 @@ pub fn sched(smoke: bool) -> Table {
         failures: trace.failures.len(),
         schedulers: vec![base.metrics.clone(), fifo.metrics.clone(), spjf.metrics.clone()],
     };
-    let json = serde_json::to_string_pretty(&bench).expect("serialisable bench");
-    let path = "BENCH_sched.json";
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: cannot write {path}: {e}");
-    }
+    let path = opts.json_path.as_deref().unwrap_or("BENCH_sched.json");
+    let outcome = guarded_write(path, std::slice::from_ref(&bench), smoke, opts.force);
 
     let mut t = Table::new(
         "SCHED",
@@ -127,7 +131,7 @@ pub fn sched(smoke: bool) -> Table {
          asserted bit-identical to its standalone run",
         bench.jobs, bench.failures
     ));
-    t.note(format!("wrote {path}"));
+    t.note(outcome.describe(path));
     if smoke {
         t.note("smoke trace — run without --smoke for the p = 1024 claim");
     }
@@ -140,10 +144,15 @@ mod tests {
 
     #[test]
     fn smoke_run_reports_three_schedulers_and_writes_json() {
-        let t = sched(true);
+        let mut path = std::env::temp_dir();
+        path.push(format!("vmp-sched-test-{}.json", std::process::id()));
+        let path = path.to_string_lossy().into_owned();
+        let opts = RunOpts { smoke: true, force: true, json_path: Some(path.clone()) };
+        let t = sched(&opts);
         assert_eq!(t.rows.len(), 3, "baseline + two policies");
-        let json = std::fs::read_to_string("BENCH_sched.json").expect("bench json written");
-        let _ = std::fs::remove_file("BENCH_sched.json");
+        let json = std::fs::read_to_string(&path).expect("bench json written");
+        let _ = std::fs::remove_file(&path);
+        assert!(json.contains("\"smoke\": true"), "envelope records the run mode: {json}");
         assert!(json.contains("subcube-spjf"));
         assert!(json.contains("fcfs-whole-machine"));
     }

@@ -89,11 +89,27 @@ pub fn reduce_slab<T: Copy>(
 /// All-reduce over a flat [`NodeSlab`]: after the call every segment in
 /// a subcube holds the elementwise `op`-combination of all of them.
 ///
-/// Butterfly exchange: `|dims|` supersteps of pairwise exchange+combine,
-/// `alpha + (beta + gamma) * L` each — same time as [`reduce_slab`] but
-/// the result is replicated, which is how a row/column reduction keeps a
-/// vector aligned with the grid (no separate broadcast needed). Fully in
-/// place: the only writes are the combines themselves.
+/// The charged schedule is the butterfly exchange: `|dims|` supersteps
+/// of pairwise exchange+combine, `alpha + (beta + gamma) * L` each — the
+/// same time as [`reduce_slab`], but the result is replicated, which is
+/// how a row/column reduction keeps a vector aligned with the grid (no
+/// separate broadcast needed). Charges stay per dimension: the longest
+/// segment and the machine-wide element count on the single-port
+/// schedule, or one all-port schedule charge for the whole call (see
+/// [`allport`]).
+///
+/// The host computes the butterfly's values without running it. After
+/// the butterfly's steps over `dims[..j]`, every member of a
+/// `dims[..j]`-subcube holds the same value, so step `j`'s
+/// `op(lo, hi)` needs computing only at the member whose bits on
+/// `dims[..=j]` are clear: a tree fold of `2^k - 1` combines per
+/// subcube instead of the butterfly's `k * 2^(k-1)`, in the butterfly's
+/// operand order, then one pass copying each subcube's value to its
+/// other members. Payload bits are those of the butterfly for any `op`.
+///
+/// # Panics
+/// Panics if the segments within a subcube have different lengths, or on
+/// an invalid `dims`.
 pub fn allreduce_slab<T: Copy>(
     hc: &mut Hypercube,
     slab: &mut NodeSlab<T>,
@@ -104,64 +120,40 @@ pub fn allreduce_slab<T: Copy>(
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
 
-    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), slab.max_seg_len());
-    let mut allport_total: u64 = 0;
-    // Uniform segment lengths (the common balanced-layout case) take the
-    // block-combine fast path: one straight-line pass per dimension via
-    // [`NodeSlab::butterfly_combine`], bit-identical to the per-pair
-    // loop but without per-pair offset lookups.
-    let uniform = slab.uniform_seg_len().filter(|&l| l > 0);
-
+    let max_len = slab.max_seg_len();
+    let total = slab.total_len() as u64;
+    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), max_len);
     let p = slab.p();
+    // Fold: after dim `d`, the node with every bit done so far clear
+    // holds the butterfly's value for its whole `done`-subcube.
+    let mut done = 0usize;
     for &d in dims {
         let bit = 1usize << d;
-        let (max_len, total) = match uniform {
-            Some(l) => {
-                slab.butterfly_combine(bit, &op);
-                (l, (p * l) as u64)
+        done |= bit;
+        for node in super::nodes_matching(p, done, 0) {
+            let (lo, hi) = slab.pair_mut(node, node | bit);
+            assert_eq!(
+                lo.len(),
+                hi.len(),
+                "allreduce requires equal buffer lengths within a subcube"
+            );
+            for (a, &b) in lo.iter_mut().zip(hi.iter()) {
+                *a = op(*a, b);
             }
-            None => {
-                // Process each pair once: the node with the d-bit clear
-                // drives.
-                let mut max_len = 0usize;
-                let mut total: u64 = 0;
-                for node in super::nodes_matching(p, bit, 0) {
-                    let partner = node | bit;
-                    assert_eq!(
-                        slab.len_of(node),
-                        slab.len_of(partner),
-                        "allreduce requires equal buffer lengths within a subcube"
-                    );
-                    let len = slab.len_of(node);
-                    max_len = max_len.max(len);
-                    total += 2 * len as u64;
-                    let (lo, hi) = slab.pair_mut(node, partner);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let combined = op(*a, *b);
-                        *a = combined;
-                        *b = combined;
-                    }
-                }
-                (max_len, total)
-            }
-        };
-        match algo {
-            Algo::SinglePort => {
-                hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total);
-                hc.charge_flops(max_len);
-            }
-            Algo::AllPort { .. } => allport_total += total,
+        }
+        if algo == Algo::SinglePort {
+            hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total);
+            hc.charge_flops(max_len);
         }
     }
+    // Replicate: every other member copies its subcube's fold root.
+    for node in (0..p).filter(|&node| node & done != 0) {
+        let (root, member) = slab.pair_mut(node & !done, node);
+        member.copy_from_slice(root);
+    }
     if let Algo::AllPort { chunks } = algo {
-        allport::charge(
-            hc,
-            Collective::Allreduce,
-            dims.len(),
-            slab.max_seg_len(),
-            chunks,
-            allport_total,
-        );
+        let k = dims.len();
+        allport::charge(hc, Collective::Allreduce, k, max_len, chunks, k as u64 * total);
     }
 }
 

@@ -16,10 +16,10 @@
 //! Segments never overlap and are stored in node order, so two distinct
 //! nodes' buffers can be borrowed mutably at once through
 //! [`NodeSlab::pair_mut`] (a `split_at_mut` under the hood) — this is
-//! what lets butterfly combines run in place with zero copies. The
-//! simulated-clock charging of the collectives is computed from segment
-//! *lengths* only and is therefore unchanged by the representation; see
-//! DESIGN.md § Data plane.
+//! what lets the reduction trees combine in place with no scratch
+//! buffers. The simulated-clock charging of the collectives is computed
+//! from segment *lengths* only and is therefore unchanged by the
+//! representation; see DESIGN.md § Data plane.
 
 use std::ops::{Index, IndexMut};
 
@@ -204,47 +204,6 @@ impl<T> NodeSlab<T> {
             slab.offsets.push(slab.data.len());
         }
         slab
-    }
-}
-
-impl<T: Copy> NodeSlab<T> {
-    /// Combine every butterfly partner pair `(node, node | chan_bit)`
-    /// elementwise in one pass, writing the combined value to **both**
-    /// partners: `lo[i] = hi[i] = op(lo[i], hi[i])`.
-    ///
-    /// Requires uniform segment lengths. Because node ids ascend in
-    /// storage order, the nodes with `chan_bit` clear/set alternate as
-    /// runs of `chan_bit` consecutive segments, so each partner pair is
-    /// a `lo`/`hi` half of one contiguous `2 * chan_bit * l` block —
-    /// the whole exchange is `p/2` straight-line slice combines with no
-    /// per-pair offset lookups. Combine order and results are identical
-    /// to looping [`NodeSlab::pair_mut`] with `op(lo, hi)` per element
-    /// (the op is applied elementwise either way).
-    ///
-    /// # Panics
-    /// Panics when segment lengths are not uniform, or `chan_bit` is not
-    /// a power of two below `p`.
-    pub fn butterfly_combine(&mut self, chan_bit: usize, op: impl Fn(T, T) -> T) {
-        let p = self.p();
-        assert!(
-            chan_bit.is_power_of_two() && chan_bit < p,
-            "chan_bit {chan_bit} is not a channel of a {p}-node slab"
-        );
-        let Some(l) = self.uniform_seg_len() else {
-            panic!("butterfly_combine requires uniform segment lengths");
-        };
-        if l == 0 {
-            return;
-        }
-        let half = chan_bit * l;
-        for block in self.data.chunks_exact_mut(2 * half) {
-            let (lo, hi) = block.split_at_mut(half);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let combined = op(*a, *b);
-                *a = combined;
-                *b = combined;
-            }
-        }
     }
 }
 
@@ -533,36 +492,5 @@ mod tests {
         assert_eq!(NodeSlab::filled(&[3, 3, 2, 3], 0u8).uniform_seg_len(), None);
         assert_eq!(NodeSlab::filled(&[0, 0], 0u8).uniform_seg_len(), Some(0));
         assert_eq!(NodeSlab::<u8>::new(0).uniform_seg_len(), None);
-    }
-
-    #[test]
-    fn butterfly_combine_matches_pair_mut_loop() {
-        let p = 8usize;
-        let l = 5usize;
-        let mk = || {
-            NodeSlab::from_nested(
-                &(0..p)
-                    .map(|n| (0..l).map(|i| (n * 31 + i) as f64 * 0.25 - 3.0).collect())
-                    .collect::<Vec<Vec<f64>>>(),
-            )
-        };
-        let op = |a: f64, b: f64| a + b * 0.5;
-        for d in 0..3u32 {
-            let bit = 1usize << d;
-            let mut fast = mk();
-            fast.butterfly_combine(bit, op);
-            let mut slow = mk();
-            for node in 0..p {
-                if node & bit == 0 {
-                    let (lo, hi) = slow.pair_mut(node, node | bit);
-                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let combined = op(*a, *b);
-                        *a = combined;
-                        *b = combined;
-                    }
-                }
-            }
-            assert_eq!(fast.data(), slow.data(), "bit {bit}");
-        }
     }
 }

@@ -24,7 +24,8 @@
 //! * in-place kernels (`map_inplace`, `zip_axis_inplace`, the rank-1
 //!   updates) rewrite each row through `chunks_exact_mut`;
 //! * vector `map`/`zip` extend one flat `Vec` chunk by chunk and reuse
-//!   the input's segment offsets.
+//!   the input's segment offsets; vector `map_inplace` rewrites each
+//!   chunk in place.
 //!
 //! `ZipAxisBlocks` produces `zip_axis`'s output one node at a time, so
 //! `primitives::reduce_zip_axis` can fold a node's products without ever
@@ -405,6 +406,20 @@ impl<T: Scalar> DistVector<T> {
         }
         hc.charge_flops(locals.max_seg_len());
         DistVector::from_slab(layout, NodeSlab::with_segs_of(locals, data))
+    }
+
+    /// In-place elementwise update: `self[i] = f(i, self[i])`, charged
+    /// as [`DistVector::map`].
+    pub fn map_inplace(&mut self, hc: &mut Hypercube, f: impl Fn(usize, T) -> T) {
+        let layout = self.layout().clone();
+        let locals = self.locals_mut();
+        locals.for_each_seg_mut(|node, buf| {
+            let part = layout.part_of(node);
+            for (slot, x) in buf.iter_mut().enumerate() {
+                *x = f(layout.dist().global_index(part, slot), *x);
+            }
+        });
+        hc.charge_flops(locals.max_seg_len());
     }
 
     /// Elementwise combination of two identically laid out vectors.

@@ -78,6 +78,11 @@ impl<T: Scalar> DistVector<T> {
         &self.locals
     }
 
+    /// Per-node local chunks, mutably (crate-internal).
+    pub(crate) fn locals_mut(&mut self) -> &mut NodeSlab<T> {
+        &mut self.locals
+    }
+
     /// Assemble from nested per-node chunks (crate-internal).
     pub(crate) fn from_parts(layout: VectorLayout, locals: Vec<Vec<T>>) -> Self {
         debug_assert_eq!(locals.len(), layout.grid().p());
@@ -143,84 +148,103 @@ impl<T: Scalar> DistVector<T> {
     /// return `op.identity()` for indices outside the range of interest —
     /// exactly how the Gaussian-elimination pivot search restricts itself
     /// to rows `k..n`.
+    ///
+    /// `lift` runs once per element, on the primary grid line only, so
+    /// it must be pure: the replicas on other lines are never lifted.
     pub fn reduce_lifted<U: Scalar, O: ReduceOp<U>>(
         &self,
         hc: &mut Hypercube,
         op: O,
         lift: impl Fn(usize, T) -> U,
     ) -> U {
-        let grid = self.layout.grid().clone();
-        let p = self.locals.p();
-        // Local fold over the chunk: one scalar per node, in one arena.
-        let mut partials: NodeSlab<U> = NodeSlab::with_capacity(p, p);
-        let mut max_chunk = 0usize;
-        for node in 0..p {
-            let buf = &self.locals[node];
-            if buf.is_empty() {
-                partials.push_seg_with(|data| data.push(op.identity()));
-                continue;
-            }
-            max_chunk = max_chunk.max(buf.len());
-            let part = self.layout.part_of(node);
-            let mut acc = op.identity();
-            for (slot, &v) in buf.iter().enumerate() {
-                let i = self.layout.dist().global_index(part, slot);
-                acc = op.combine(acc, lift(i, v));
-            }
-            partials.push_seg_with(|data| data.push(acc));
-        }
-        hc.charge_flops(max_chunk);
-
-        // Combine partials machine-wide. A replicated embedding holds each
-        // chunk on every grid line, so an all-reduce over every cube dim
-        // would fold each chunk once per replica, which is wrong for
-        // non-idempotent ops (sum). The rule: keep the partials of one
-        // primary grid line, set every other replica's partial to
-        // `op.identity()`, then all-reduce over every dim. Each chunk is
-        // then folded exactly once and the result lands on every node.
-        match self.layout.embedding() {
-            VecEmbedding::Linear => {
-                let dims: Vec<u32> = grid.cube().iter_dims().collect();
-                allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-            }
-            VecEmbedding::Aligned { axis, placement } => {
-                let primary_line = match placement {
-                    Placement::Replicated => 0, // keep only grid line 0
-                    Placement::Concentrated(line) => *line,
-                };
-                // Keep the nodes whose orthogonal grid coordinate is the
-                // primary line: their bits on the orthogonal dims match.
-                let cube = grid.cube();
-                let (mask, bits) = match axis {
-                    Axis::Row => (cube.dims_mask(grid.row_dims()), grid.node_at(primary_line, 0)),
-                    Axis::Col => (cube.dims_mask(grid.col_dims()), grid.node_at(0, primary_line)),
-                };
-                for node in (0..p).filter(|&node| node & mask != bits) {
-                    partials[node][0] = op.identity();
-                }
-                let dims: Vec<u32> = grid.cube().iter_dims().collect();
-                allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-            }
-        }
-        partials[0][0]
+        self.fold_primary_line(hc, &self.locals, op, |i, v, _| lift(i, v))
     }
 
     /// Reduce to a scalar with `op` (replicated machine-wide; charged).
     pub fn reduce_all<O: ReduceOp<T>>(&self, hc: &mut Hypercube, op: O) -> T {
         self.reduce_lifted(hc, op, |_, v| v)
     }
+
+    /// `self.zip(hc, other, f).reduce_all(hc, op)` without building the
+    /// zipped vector: each element's `f(global_index, x, y)` is folded
+    /// as soon as it is computed. Payload, clock and counters are
+    /// bit-identical to the two-call form; the zip's flops and the
+    /// fold's flops are charged as two separate clock adds, as the two
+    /// calls charge them.
+    ///
+    /// # Panics
+    /// Panics unless both vectors share a layout.
+    pub fn zip_reduce<U: Scalar, V: Scalar, O: ReduceOp<V>>(
+        &self,
+        hc: &mut Hypercube,
+        other: &DistVector<U>,
+        f: impl Fn(usize, T, U) -> V,
+        op: O,
+    ) -> V {
+        assert_eq!(self.layout, other.layout, "zip operands must share a layout");
+        hc.charge_flops(self.locals.max_seg_len());
+        self.fold_primary_line(hc, &other.locals, op, f)
+    }
+
+    /// The fold behind every scalar reduction: `lift(i, x, y)` over the
+    /// elements of `self` and `other` (same segment lengths), folded per
+    /// node and then combined machine-wide with `op`.
+    ///
+    /// A replicated embedding holds each chunk on every grid line, and
+    /// folding every replica would count each element once per line,
+    /// which is wrong for non-idempotent ops (sum). So only the nodes of
+    /// one primary grid line fold (`node & mask == bits`: their bits on
+    /// the orthogonal dims name that line); every other node contributes
+    /// `op.identity()`. The all-reduce over every cube dim then folds
+    /// each chunk exactly once and lands the result on every node. The
+    /// flop charge is the longest chunk, as if every node folded.
+    fn fold_primary_line<W: Scalar, U: Scalar, O: ReduceOp<U>>(
+        &self,
+        hc: &mut Hypercube,
+        other: &NodeSlab<W>,
+        op: O,
+        lift: impl Fn(usize, T, W) -> U,
+    ) -> U {
+        let grid = self.layout.grid();
+        let (mask, bits) = match self.layout.embedding() {
+            VecEmbedding::Linear => (0, 0),
+            VecEmbedding::Aligned { axis, placement } => {
+                let line = match placement {
+                    Placement::Replicated => 0,
+                    Placement::Concentrated(line) => *line,
+                };
+                match axis {
+                    Axis::Row => (grid.cube().dims_mask(grid.row_dims()), grid.node_at(line, 0)),
+                    Axis::Col => (grid.cube().dims_mask(grid.col_dims()), grid.node_at(0, line)),
+                }
+            }
+        };
+        let p = self.locals.p();
+        let dist = self.layout.dist();
+        let mut partials = NodeSlab::build(p, p, |node, out| {
+            let mut acc = op.identity();
+            let buf = &self.locals[node];
+            if node & mask == bits && !buf.is_empty() {
+                let part = self.layout.part_of(node);
+                for (slot, (&x, &y)) in buf.iter().zip(&other[node]).enumerate() {
+                    acc = op.combine(acc, lift(dist.global_index(part, slot), x, y));
+                }
+            }
+            out.push(acc);
+        });
+        hc.charge_flops(self.locals.max_seg_len());
+        let dims: Vec<u32> = grid.cube().iter_dims().collect();
+        allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
+        partials[0][0]
+    }
 }
 
 impl<T: crate::elem::Numeric> DistVector<T> {
-    /// Dot product with an identically laid-out vector: one elementwise
-    /// pass plus a reduce-to-scalar (replicated result).
+    /// Dot product with an identically laid-out vector: one fused
+    /// multiply-and-fold pass plus a reduce-to-scalar (replicated
+    /// result).
     pub fn dot(&self, hc: &mut Hypercube, other: &DistVector<T>) -> T {
-        self.zip(hc, other, |_, a, b| a * b).reduce_all(hc, crate::elem::Sum)
-    }
-
-    /// Squared 2-norm.
-    pub fn norm2_sq(&self, hc: &mut Hypercube) -> T {
-        self.dot(hc, &self.clone())
+        self.zip_reduce(hc, other, |_, a, b| a * b, crate::elem::Sum)
     }
 }
 
@@ -322,6 +346,89 @@ mod tests {
         let layout = VectorLayout::linear(0, g, Dist::Block);
         let v: DistVector<f64> = DistVector::from_fn(layout, |_| unreachable!());
         assert_eq!(v.reduce_all(&mut hc, Sum), 0.0);
+    }
+
+    /// Every embedding family on a 16-node 4x4 grid: Linear, and
+    /// Aligned Row/Col x Replicated/Concentrated, each Block and Cyclic;
+    /// lengths below and above `p`.
+    fn layouts() -> Vec<VectorLayout> {
+        let g = grid(4, 2);
+        let mut out = Vec::new();
+        for n in [3usize, 13, 37] {
+            for dist in [Dist::Block, Dist::Cyclic] {
+                out.push(VectorLayout::linear(n, g.clone(), dist));
+                for axis in [Axis::Row, Axis::Col] {
+                    for placement in [Placement::Replicated, Placement::Concentrated(2)] {
+                        out.push(VectorLayout::aligned(n, g.clone(), axis, placement, dist));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Pairs of identical fresh machines: healthy, and after a dead-node
+    /// remap (load factor 2, so every flop charge doubles).
+    fn machine_pairs() -> [[Hypercube; 2]; 2] {
+        let make = |degraded: bool| {
+            let mut hc = Hypercube::new(4, CostModel::cm2());
+            if degraded {
+                hc.remap_node(5, 4);
+            }
+            hc
+        };
+        [[make(false), make(false)], [make(true), make(true)]]
+    }
+
+    #[test]
+    fn zip_reduce_is_bit_identical_to_zip_then_reduce_all() {
+        for layout in layouts() {
+            let a = DistVector::from_fn(layout.clone(), |i| (i as f64 * 0.37).sin());
+            let b = DistVector::from_fn(layout.clone(), |i| 1.0 / (i as f64 + 0.5));
+            // Non-commutative in its operands' roles: order matters.
+            let f = |i: usize, x: f64, y: f64| x * y + i as f64 * 1e-3;
+            for [mut h1, mut h2] in machine_pairs() {
+                let want = a.zip(&mut h1, &b, f).reduce_all(&mut h1, Sum);
+                let got = a.zip_reduce(&mut h2, &b, f, Sum);
+                assert_eq!(want.to_bits(), got.to_bits(), "{layout:?}");
+                assert_eq!(h1.elapsed_us().to_bits(), h2.elapsed_us().to_bits(), "{layout:?}");
+                assert_eq!(h1.counters(), h2.counters(), "{layout:?}");
+
+                let lift = |i: usize, x: f64, y: f64| Loc::new(x - y, i);
+                let want = a.zip(&mut h1, &b, lift).reduce_all(&mut h1, ArgMaxAbs);
+                let got = a.zip_reduce(&mut h2, &b, lift, ArgMaxAbs);
+                assert_eq!((want.value.to_bits(), want.index), (got.value.to_bits(), got.index));
+                assert_eq!(h1.elapsed_us().to_bits(), h2.elapsed_us().to_bits(), "{layout:?}");
+                assert_eq!(h1.counters(), h2.counters(), "{layout:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_inplace_is_bit_identical_to_map() {
+        for layout in layouts() {
+            let v = DistVector::from_fn(layout.clone(), |i| (i as f64).cos());
+            let f = |i: usize, x: f64| if i % 3 == 1 { x * 2.5 - 1.0 } else { x };
+            for [mut h1, mut h2] in machine_pairs() {
+                let want = v.map(&mut h1, f);
+                let mut got = v.clone();
+                got.map_inplace(&mut h2, f);
+                got.assert_consistent();
+                assert_eq!(want, got, "{layout:?}");
+                assert_eq!(h1.elapsed_us().to_bits(), h2.elapsed_us().to_bits(), "{layout:?}");
+                assert_eq!(h1.counters(), h2.counters(), "{layout:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share a layout")]
+    fn zip_reduce_checks_layouts() {
+        let g = grid(2, 1);
+        let mut hc = machine(2);
+        let a = DistVector::constant(VectorLayout::linear(4, g.clone(), Dist::Block), 1.0);
+        let b = DistVector::constant(VectorLayout::linear(4, g, Dist::Cyclic), 1.0);
+        let _ = a.zip_reduce(&mut hc, &b, |_, x: f64, y: f64| x * y, Sum);
     }
 
     #[test]

@@ -21,8 +21,9 @@ use proptest::prelude::*;
 use four_vmp::core::elem::Sum;
 use four_vmp::core::primitives;
 use four_vmp::hypercube::collective::{self, reference};
+use four_vmp::hypercube::cost::{Algo, AlgoPolicy, AlgoSelect, Collective};
 use four_vmp::hypercube::slab::{NodeSlab, SegSlab};
-use four_vmp::hypercube::{Cube, FaultPlan, ResilientConfig};
+use four_vmp::hypercube::{CostModel, Cube, FaultPlan, ResilientConfig};
 use four_vmp::prelude::*;
 
 /// A cheap deterministic pseudo-random f64 in roughly `[-1, 1]`.
@@ -115,26 +116,27 @@ proptest! {
         assert_machines_identical(&hc_seed, &hc_slab, "gather");
     }
 
-    /// Combine collectives (reduce / allreduce / scans) on uniform buffers.
+    /// Combine collectives (reduce / scans) on uniform buffers, and
+    /// all-reduce with an order-sensitive op (`a * 1.5 + b`, so swapped
+    /// operands change the bits) over a permuted dim subset, with
+    /// segment lengths that differ between subcubes but agree within
+    /// each, under every schedule policy. All-reduce payloads must match
+    /// the reference; its clock and counters must match the reference's
+    /// single-port charges, or the all-port schedule's price when that
+    /// is the chosen schedule.
     #[test]
     fn combine_collectives_match_reference(
         dim in 0u32..=4,
         len in 0usize..=9,
         salt in 0usize..=100,
         root in 0usize..=15,
+        mask in 0usize..16,
+        perm in 0usize..24,
         drops in prop_oneof![Just(None), (1u64..=50, Just(0.2f64)).prop_map(Some)],
     ) {
         let nested = uniform_locals(dim, len, salt);
         let dims: Vec<u32> = Cube::new(dim).iter_dims().collect();
         let root = root & ((1usize << dims.len()) - 1);
-
-        let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
-        let mut want = nested.clone();
-        reference::allreduce(&mut hc_seed, &mut want, &dims, |a, b| a + b);
-        let mut got = NodeSlab::from_nested(&nested);
-        collective::allreduce_slab(&mut hc_slab, &mut got, &dims, |a, b| a + b);
-        prop_assert_eq!(&want, &got.to_nested(), "allreduce payload");
-        assert_machines_identical(&hc_seed, &hc_slab, "allreduce");
 
         let (mut hc_seed, mut hc_slab) = machine_pair(dim, drops);
         let mut want = nested.clone();
@@ -159,6 +161,58 @@ proptest! {
         collective::scan_exclusive_slab(&mut hc_slab, &mut got, &dims, 0.0, |a, b| a + b);
         prop_assert_eq!(&want, &got.to_nested(), "scan_exclusive payload");
         assert_machines_identical(&hc_seed, &hc_slab, "scan_exclusive");
+
+        let p = 1usize << dim;
+        let mut ar_dims: Vec<u32> = (0..dim).filter(|&d| (mask >> d) & 1 == 1).collect();
+        let mut code = perm;
+        for i in (1..ar_dims.len()).rev() {
+            ar_dims.swap(i, code % (i + 1));
+            code /= i + 1;
+        }
+        let dmask: usize = ar_dims.iter().map(|&d| 1usize << d).sum();
+        let ragged: Vec<Vec<f64>> = (0..p)
+            .map(|n| {
+                let l = len + ((n & !dmask) * 5 + salt) % 3;
+                (0..l).map(|i| val(n + salt, i)).collect()
+            })
+            .collect();
+        let k = ar_dims.len();
+        let max_len = ragged.iter().map(Vec::len).max().unwrap_or(0);
+        let total: usize = ragged.iter().map(Vec::len).sum();
+        let op = |a: f64, b: f64| a * 1.5 + b;
+        let configs = [
+            (CostModel::cm2(), AlgoPolicy::Auto),
+            (CostModel::cm2_allport(), AlgoPolicy::Auto),
+            (CostModel::cm2_allport(), AlgoPolicy::ForceSinglePort),
+            (CostModel::cm2_allport(), AlgoPolicy::ForceAllPort),
+            (CostModel::cm2_allport(), AlgoPolicy::ForcePipelined),
+        ];
+        for (cost, policy) in configs {
+            let make = || {
+                let mut hc = Hypercube::new(dim, cost);
+                hc.set_algo_select(AlgoSelect { policy, ..AlgoSelect::default() });
+                if let Some((seed, rate)) = drops {
+                    let plan = FaultPlan::none(seed).with_drops(rate, 0, u64::MAX);
+                    hc.install_faults(plan, ResilientConfig::default());
+                }
+                hc
+            };
+            let what = format!("allreduce {policy:?} over {ar_dims:?}");
+            let (mut hc_want, mut hc_got) = (make(), make());
+            let mut want = ragged.clone();
+            match hc_want.choose_algo(Collective::Allreduce, k, max_len) {
+                Algo::SinglePort => reference::allreduce(&mut hc_want, &mut want, &ar_dims, op),
+                Algo::AllPort { chunks } => {
+                    reference::allreduce(&mut make(), &mut want, &ar_dims, op);
+                    let moved = (k * total) as u64;
+                    hc_want.charge_allport(Collective::Allreduce, k, max_len, chunks, moved);
+                }
+            }
+            let mut got = NodeSlab::from_nested(&ragged);
+            collective::allreduce_slab(&mut hc_got, &mut got, &ar_dims, op);
+            prop_assert_eq!(&want, &got.to_nested(), "{} payload", what);
+            assert_machines_identical(&hc_want, &hc_got, &what);
+        }
     }
 
     /// Broadcast and all-to-all (the redistribution collectives).

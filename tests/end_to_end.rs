@@ -139,3 +139,76 @@ fn counters_tell_a_consistent_story() {
     let steps = reduce_delta.message_steps;
     assert!(dt >= cost.alpha * steps as f64, "every superstep pays at least alpha");
 }
+
+/// FNV-1a over 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Payload bits, clock bits and every counter of one run, as words.
+fn run_words(x: &[f64], hc: &Hypercube) -> Vec<u64> {
+    let c = hc.counters();
+    let mut words: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+    words.push(hc.elapsed_us().to_bits());
+    words.extend([
+        c.message_steps,
+        c.allport_steps,
+        c.elements_transferred,
+        c.max_channel_load,
+        c.flops,
+        c.local_moves,
+        c.router_elements,
+        c.router_cycles,
+        c.transient_drops,
+        c.retries,
+        c.reroutes,
+        c.detour_hops,
+        c.node_remaps,
+        c.migrated_elements,
+    ]);
+    words
+}
+
+#[test]
+fn substitution_fingerprints_are_pinned() {
+    // Characterisation: elimination + back substitution and LU solve
+    // over machine sizes, both layouts, both port models and a
+    // transient-drop fault plan. Any change to a payload bit, the
+    // simulated clock or a counter moves the fingerprint.
+    use four_vmp::algos::lu;
+    use four_vmp::hypercube::{CostModel, FaultPlan, ResilientConfig};
+    let mut words = Vec::new();
+    for (n, dim) in [(7usize, 0u32), (12, 3), (20, 5), (16, 6)] {
+        let (a, b, _) = workloads::diag_dominant_system(n, 31 + n as u64);
+        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+            for dist in [Dist::Cyclic, Dist::Block] {
+                for faulted in [false, true] {
+                    let mut hc = Hypercube::new(dim, cost);
+                    if faulted {
+                        let plan = FaultPlan::none(5).with_drops(0.1, 0, u64::MAX);
+                        hc.install_faults(plan, ResilientConfig::default());
+                    }
+                    let layout = MatrixLayout::new(MatShape::new(n, n + 1), grid(dim), dist, dist);
+                    let mut aug =
+                        DistMatrix::from_fn(layout, |i, j| if j < n { a.get(i, j) } else { b[i] });
+                    gauss::forward_eliminate(&mut hc, &mut aug).expect("nonsingular");
+                    let x = gauss::back_substitute(&mut hc, &aug);
+                    words.extend(run_words(&x, &hc));
+
+                    let layout = MatrixLayout::new(MatShape::new(n, n), grid(dim), dist, dist);
+                    let am = DistMatrix::from_fn(layout, |i, j| a.get(i, j));
+                    let f = lu::lu_factor_dist(&mut hc, &am).expect("nonsingular");
+                    let x = f.solve(&mut hc, &b);
+                    words.extend(run_words(&x, &hc));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(words),
+        1_047_049_381_528_007_889,
+        "fingerprint recorded before the fused forms"
+    );
+}

@@ -34,7 +34,7 @@ pub use alltoall::alltoall_slab;
 pub use broadcast::broadcast_slab;
 pub use exchange::exchange_slab;
 pub use gather::{allgather_slab, gather_slab, scatter_slab};
-pub use reduce::{allreduce_slab, reduce_slab};
+pub use reduce::{allreduce_line, allreduce_slab, reduce_slab};
 pub use scan::{scan_exclusive_slab, scan_inclusive_slab};
 
 use crate::topology::{Cube, NodeId};

@@ -4,6 +4,7 @@ use super::{allport, check_dims};
 use crate::cost::{Algo, Collective};
 use crate::machine::Hypercube;
 use crate::slab::NodeSlab;
+use crate::topology::NodeId;
 
 /// Reduce over a flat [`NodeSlab`]: within every subcube spanned by
 /// `dims`, the equal-length segments of all members are combined
@@ -96,7 +97,8 @@ pub fn reduce_slab<T: Copy>(
 /// separate broadcast needed). Charges stay per dimension: the longest
 /// segment and the machine-wide element count on the single-port
 /// schedule, or one all-port schedule charge for the whole call (see
-/// [`allport`]).
+/// [`allport`]). They depend on the segment lengths only, so the call
+/// prices itself first and then folds.
 ///
 /// The host computes the butterfly's values without running it. After
 /// the butterfly's steps over `dims[..j]`, every member of a
@@ -106,6 +108,8 @@ pub fn reduce_slab<T: Copy>(
 /// subcube instead of the butterfly's `k * 2^(k-1)`, in the butterfly's
 /// operand order, then one pass copying each subcube's value to its
 /// other members. Payload bits are those of the butterfly for any `op`.
+/// Both passes go through the arena's offset accessors
+/// (`NodeSlab::combine_seg`, `NodeSlab::copy_seg`).
 ///
 /// # Panics
 /// Panics if the segments within a subcube have different lengths, or on
@@ -119,10 +123,8 @@ pub fn allreduce_slab<T: Copy>(
     let cube = hc.cube();
     check_dims(cube, dims);
     assert_eq!(slab.p(), cube.nodes());
+    charge_allreduce(hc, dims, slab.max_seg_len(), slab.total_len() as u64);
 
-    let max_len = slab.max_seg_len();
-    let total = slab.total_len() as u64;
-    let algo = hc.choose_algo(Collective::Allreduce, dims.len(), max_len);
     let p = slab.p();
     // Fold: after dim `d`, the node with every bit done so far clear
     // holds the butterfly's value for its whole `done`-subcube.
@@ -131,30 +133,89 @@ pub fn allreduce_slab<T: Copy>(
         let bit = 1usize << d;
         done |= bit;
         for node in super::nodes_matching(p, done, 0) {
-            let (lo, hi) = slab.pair_mut(node, node | bit);
-            assert_eq!(
-                lo.len(),
-                hi.len(),
-                "allreduce requires equal buffer lengths within a subcube"
-            );
-            for (a, &b) in lo.iter_mut().zip(hi.iter()) {
-                *a = op(*a, b);
-            }
-        }
-        if algo == Algo::SinglePort {
-            hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total);
-            hc.charge_flops(max_len);
+            slab.combine_seg(node, node | bit, &op);
         }
     }
     // Replicate: every other member copies its subcube's fold root.
     for node in (0..p).filter(|&node| node & done != 0) {
-        let (root, member) = slab.pair_mut(node & !done, node);
-        member.copy_from_slice(root);
+        slab.copy_seg(node & !done, node);
     }
-    if let Algo::AllPort { chunks } = algo {
-        let k = dims.len();
-        allport::charge(hc, Collective::Allreduce, k, max_len, chunks, k as u64 * total);
+}
+
+/// Charge the machine for an all-reduce over `dims` whose longest
+/// segment is `max_len` elements and whose segments hold `total`
+/// elements machine-wide: per dim `charge_exchange_step` + `charge_flops`
+/// on the single-port schedule, or one all-port schedule charge. This
+/// is the whole price of [`allreduce_slab`] and of [`allreduce_line`].
+fn charge_allreduce(hc: &mut Hypercube, dims: &[u32], max_len: usize, total: u64) {
+    let k = dims.len();
+    match hc.choose_algo(Collective::Allreduce, k, max_len) {
+        Algo::SinglePort => {
+            let p = hc.p();
+            for &d in dims {
+                let bit = 1usize << d;
+                hc.charge_exchange_step(super::sends_where(p, bit, 0, bit), max_len, total);
+                hc.charge_flops(max_len);
+            }
+        }
+        Algo::AllPort { chunks } => {
+            allport::charge(hc, Collective::Allreduce, k, max_len, chunks, k as u64 * total);
+        }
     }
+}
+
+/// The scalar all-reduce of one grid line: the value [`allreduce_slab`]
+/// leaves on node 0 when it all-reduces one element per node over every
+/// cube dim in ascending order, where the nodes `n & mask == bits` hold
+/// `value_at(n)` and every other node holds `op`'s `identity` — computed
+/// from the line's values alone, and charged exactly as that all-reduce
+/// (through the same pricing function). The machine is charged for a result
+/// replicated on every node; the host returns only the root value.
+///
+/// The fold keeps one partial per subcube that meets the line, in the
+/// butterfly's operand order. On a dim outside `mask` two such partials
+/// meet. On a dim in `mask` the partner subcube holds identities only,
+/// and after dims `0..d` its value is the identity fold `I_d`
+/// (`I_0 = identity`, `I_{j+1} = op(I_j, I_j)`); the line's partial
+/// meets it on the side given by the line's bit `d` in `bits`. That is
+/// what keeps `0.0 + -0.0` and tie-breaking ops bit-exact. Host work is
+/// `O(line * lg p)`, with no per-node slab.
+///
+/// # Panics
+/// Panics if `bits` has a bit outside `mask` or names no node.
+pub fn allreduce_line<T: Copy>(
+    hc: &mut Hypercube,
+    mask: usize,
+    bits: usize,
+    identity: T,
+    value_at: impl FnMut(NodeId) -> T,
+    op: impl Fn(T, T) -> T,
+) -> T {
+    let cube = hc.cube();
+    let p = cube.nodes();
+    assert!(bits & !mask == 0 && bits < p, "line bits {bits:#b} outside mask {mask:#b}");
+    charge_allreduce(hc, cube.dims(), 1, p as u64);
+
+    // `vals[i]` for `i` a multiple of `stride` is the partial of the
+    // i-th line-meeting subcube (line nodes in ascending order).
+    let mut vals: Vec<T> = super::nodes_matching(p, mask, bits).map(value_at).collect();
+    let mut stride = 1usize;
+    let mut idle = identity;
+    for d in cube.iter_dims() {
+        let bit = 1usize << d;
+        if mask & bit == 0 {
+            for i in (0..vals.len()).step_by(2 * stride) {
+                vals[i] = op(vals[i], vals[i + stride]);
+            }
+            stride *= 2;
+        } else {
+            for i in (0..vals.len()).step_by(stride) {
+                vals[i] = if bits & bit == 0 { op(vals[i], idle) } else { op(idle, vals[i]) };
+            }
+        }
+        idle = op(idle, idle);
+    }
+    vals[0]
 }
 
 #[cfg(test)]

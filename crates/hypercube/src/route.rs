@@ -16,7 +16,9 @@
 //! caller-supplied `tag`, so downstream code can reassemble rows and
 //! columns in global index order without caring about routing order.
 
+use crate::collective::nodes_matching;
 use crate::machine::Hypercube;
+use crate::slab::NodeSlab;
 use crate::topology::NodeId;
 
 /// A routable unit: a contiguous run of elements bound for `dst`.
@@ -136,6 +138,67 @@ fn plain_sweep<T>(hc: &mut Hypercube, in_flight: &mut [Vec<Block<T>>]) {
             hc.charge_message_step(max_fwd_elems, total_fwd_elems);
         }
     }
+}
+
+/// Move the chunks of one set of nodes by the translation
+/// `node -> node ^ x`: every node `n` with `n & mask == bits` sends its
+/// whole segment of `chunks` (empty ones included) to `n ^ x`. Returns
+/// the arrivals as a slab: node `n ^ x` holds `n`'s chunk and every
+/// other node an empty segment: what [`route_blocks`] delivers for one
+/// block per source. A grid line moved to another line is such a move.
+///
+/// On a machine with fault state installed the blocks go through
+/// [`route_blocks`] unchanged. Fault-free, the result and the price
+/// come straight from the lengths. The sources are distinct, so after
+/// any prefix of the e-cube sweep their blocks still sit on distinct
+/// nodes: no node ever holds two blocks. On each set bit of `x`, in
+/// ascending order, every block crosses that dim at once, so the step
+/// the sweep charges is `charge_message_step(max chunk, sum of chunks)`.
+/// The other dims carry nothing and cost nothing, and a move with no
+/// elements in it is free. That is exactly what `plain_sweep` charges
+/// for these blocks, with `O(line)` host work instead of one `Block`
+/// allocation per source.
+///
+/// # Panics
+/// Panics if `chunks` has not one segment per node, if `x` names no
+/// node, or (with fault state) if the plan leaves a block unroutable.
+pub fn route_translation<T: Clone>(
+    hc: &mut Hypercube,
+    chunks: &NodeSlab<T>,
+    mask: usize,
+    bits: usize,
+    x: NodeId,
+) -> NodeSlab<T> {
+    let cube = hc.cube();
+    let p = cube.nodes();
+    assert_eq!(chunks.p(), p, "one chunk per node expected");
+    assert!(cube.contains(x), "translation {x} out of range");
+    let sources = || nodes_matching(p, mask, bits);
+    if hc.fault_active() {
+        let mut outgoing: Vec<Vec<Block<T>>> = (0..p).map(|_| Vec::new()).collect();
+        for src in sources() {
+            outgoing[src].push(Block::new(src ^ x, src as u64, chunks[src].to_vec()));
+        }
+        let arrived = route_blocks(hc, outgoing);
+        let locals =
+            arrived.into_iter().map(|mut held| held.pop().map_or_else(Vec::new, |b| b.data));
+        return NodeSlab::from_nested_owned(locals.collect());
+    }
+    let (mut max_len, mut total) = (0usize, 0usize);
+    for src in sources() {
+        max_len = max_len.max(chunks.len_of(src));
+        total += chunks.len_of(src);
+    }
+    if max_len > 0 {
+        for _ in cube.iter_dims().filter(|&d| x & (1usize << d) != 0) {
+            hc.charge_message_step(max_len, total as u64);
+        }
+    }
+    NodeSlab::build(p, total, |node, out| {
+        if (node ^ x) & mask == bits {
+            out.extend_from_slice(&chunks[node ^ x]);
+        }
+    })
 }
 
 /// Repeated fault-aware e-cube sweeps until every block is delivered.

@@ -17,7 +17,10 @@
 //! nodes' buffers can be borrowed mutably at once through
 //! [`NodeSlab::pair_mut`] (a `split_at_mut` under the hood) — this is
 //! what lets the reduction trees combine in place with no scratch
-//! buffers. The simulated-clock charging of the collectives is computed
+//! buffers. For `T: Copy`, `NodeSlab::combine_seg` and
+//! `NodeSlab::copy_seg` do the same two jobs (fold one segment into
+//! another, copy one over another) by offset arithmetic on the arena,
+//! with no split borrow. The simulated-clock charging of the collectives is computed
 //! from segment *lengths* only and is therefore unchanged by the
 //! representation; see DESIGN.md § Data plane.
 
@@ -204,6 +207,34 @@ impl<T> NodeSlab<T> {
             slab.offsets.push(slab.data.len());
         }
         slab
+    }
+}
+
+impl<T: Copy> NodeSlab<T> {
+    /// Combine segment `b` into segment `a` elementwise:
+    /// `a[i] = op(a[i], b[i])`. Works by offset arithmetic on the one
+    /// arena (each read copies the element out), so no split borrow is
+    /// taken and `a == b` is allowed.
+    ///
+    /// # Panics
+    /// Panics if the two segments have different lengths.
+    pub(crate) fn combine_seg(&mut self, a: usize, b: usize, op: impl Fn(T, T) -> T) {
+        let (a0, b0) = (self.offsets[a], self.offsets[b]);
+        let len = self.offsets[a + 1] - a0;
+        assert_eq!(len, self.offsets[b + 1] - b0, "combined segments need equal lengths");
+        for i in 0..len {
+            self.data[a0 + i] = op(self.data[a0 + i], self.data[b0 + i]);
+        }
+    }
+
+    /// Copy segment `a` over segment `b` (a `copy_within` on the arena).
+    ///
+    /// # Panics
+    /// Panics if the two segments have different lengths.
+    pub(crate) fn copy_seg(&mut self, a: usize, b: usize) {
+        let (a0, a1) = (self.offsets[a], self.offsets[a + 1]);
+        assert_eq!(a1 - a0, self.len_of(b), "copied segments need equal lengths");
+        self.data.copy_within(a0..a1, self.offsets[b]);
     }
 }
 
@@ -427,6 +458,43 @@ mod tests {
     fn pair_mut_rejects_same_segment() {
         let mut slab: NodeSlab<u8> = NodeSlab::new(3);
         let _ = slab.pair_mut(1, 1);
+    }
+
+    #[test]
+    fn combine_seg_and_copy_seg_match_pair_mut() {
+        let nested = vec![vec![1, 2], vec![10], vec![20, 21], vec![30]];
+        let mut slab = NodeSlab::from_nested(&nested);
+        let mut twin = slab.clone();
+        slab.combine_seg(2, 0, |x, y| 10 * x + y);
+        slab.combine_seg(1, 3, |x, y| 10 * x + y);
+        slab.combine_seg(3, 3, |x, y| x - y);
+        slab.copy_seg(1, 3);
+        slab.copy_seg(0, 2);
+        for (a, b) in [(2, 0), (1, 3)] {
+            let (x, y) = twin.pair_mut(a, b);
+            x.iter_mut().zip(y.iter()).for_each(|(x, &y)| *x = 10 * *x + y);
+        }
+        twin[3][0] = 0;
+        let (x, y) = twin.pair_mut(1, 3);
+        y.copy_from_slice(x);
+        let (x, y) = twin.pair_mut(0, 2);
+        y.copy_from_slice(x);
+        assert_eq!(slab, twin);
+        assert_eq!(slab.to_nested(), vec![vec![1, 2], vec![130], vec![1, 2], vec![130]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn combine_seg_rejects_ragged_segments() {
+        let mut slab = NodeSlab::from_nested(&[vec![1u8, 2], vec![3]]);
+        slab.combine_seg(0, 1, |x, y| x + y);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn copy_seg_rejects_ragged_segments() {
+        let mut slab = NodeSlab::from_nested(&[vec![1u8, 2], vec![3]]);
+        slab.copy_seg(1, 0);
     }
 
     #[test]

@@ -14,6 +14,18 @@
 /// per-processor storage directly.
 pub type NodeId = usize;
 
+/// Every supported cube dimension, in order: dim sets such as a grid's
+/// row and column dims are sub-slices of it.
+static DIMS: [u32; Cube::MAX_DIM as usize] = {
+    let mut t = [0u32; Cube::MAX_DIM as usize];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = i as u32;
+        i += 1;
+    }
+    t
+};
+
 /// The static shape of a Boolean cube: its dimension `d` (so `p = 2^d`).
 ///
 /// `Cube` is deliberately tiny and `Copy`; it is threaded through every
@@ -98,6 +110,12 @@ impl Cube {
     /// Iterator over the cube's dimensions `0..d`.
     pub fn iter_dims(self) -> impl Iterator<Item = u32> {
         0..self.dim
+    }
+
+    /// The cube's dimensions `0..d` as a slice, without allocating.
+    #[must_use]
+    pub fn dims(self) -> &'static [u32] {
+        &DIMS[..self.dim as usize]
     }
 
     /// Hamming distance between two nodes — the routing distance in the

@@ -14,6 +14,8 @@ use serde::{Deserialize, Serialize};
 use vmp_hypercube::gray::{gray, gray_inverse};
 use vmp_hypercube::topology::{Cube, NodeId};
 
+use crate::Axis;
+
 /// How grid coordinates map to cube address bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GridEncoding {
@@ -23,17 +25,6 @@ pub enum GridEncoding {
     /// (dilation-1 embedding). The default, faithful to the paper.
     Gray,
 }
-
-/// Every cube dimension, in order: the grid's dim sets are sub-slices.
-static DIMS: [u32; 64] = {
-    let mut t = [0u32; 64];
-    let mut i = 0;
-    while i < 64 {
-        t[i] = i as u32;
-        i += 1;
-    }
-    t
-};
 
 /// A `2^{d_r} x 2^{d_c}` processor grid over a Boolean cube.
 ///
@@ -121,7 +112,7 @@ impl ProcGrid {
     #[inline]
     #[must_use]
     pub fn row_dims(&self) -> &'static [u32] {
-        &DIMS[self.dc as usize..self.dim as usize]
+        &self.cube().dims()[self.dc as usize..]
     }
 
     /// Cube dims encoding the grid-column index, `0..d_c`. Collectives
@@ -130,7 +121,7 @@ impl ProcGrid {
     #[inline]
     #[must_use]
     pub fn col_dims(&self) -> &'static [u32] {
-        &DIMS[..self.dc as usize]
+        &self.cube().dims()[..self.dc as usize]
     }
 
     /// The coordinate encoding in force.
@@ -162,6 +153,18 @@ impl ProcGrid {
         debug_assert!(gr < self.pr(), "grid row {gr} out of range");
         debug_assert!(gc < self.pc(), "grid col {gc} out of range");
         (self.encode(gr) << self.dc) | self.encode(gc)
+    }
+
+    /// Grid row `line` (`Axis::Row`) or grid column `line` (`Axis::Col`)
+    /// as `(mask, bits)`: its nodes are exactly those with
+    /// `node & mask == bits` (their bits on the other axis's dims).
+    #[inline]
+    #[must_use]
+    pub fn line(&self, axis: Axis, line: usize) -> (usize, usize) {
+        match axis {
+            Axis::Row => ((self.pr() - 1) << self.dc, self.node_at(line, 0)),
+            Axis::Col => (self.pc() - 1, self.node_at(0, line)),
+        }
     }
 
     /// The grid position `(gr, gc)` of `node`.
@@ -221,6 +224,31 @@ mod tests {
                         }
                     }
                     assert!(seen.into_iter().all(|b| b), "grid covers the cube");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn line_masks_select_the_line_nodes() {
+        for dim in 0..7u32 {
+            for dr in 0..=dim {
+                for enc in [GridEncoding::Binary, GridEncoding::Gray] {
+                    let g = ProcGrid::with_encoding(Cube::new(dim), dr, enc);
+                    for gr in 0..g.pr() {
+                        let (mask, bits) = g.line(Axis::Row, gr);
+                        let mut want: Vec<NodeId> = g.row_nodes(gr).collect();
+                        want.sort_unstable();
+                        let got: Vec<NodeId> = (0..g.p()).filter(|n| n & mask == bits).collect();
+                        assert_eq!(got, want, "row {gr} of {dim}/{dr} {enc:?}");
+                    }
+                    for gc in 0..g.pc() {
+                        let (mask, bits) = g.line(Axis::Col, gc);
+                        let mut want: Vec<NodeId> = g.col_nodes(gc).collect();
+                        want.sort_unstable();
+                        let got: Vec<NodeId> = (0..g.p()).filter(|n| n & mask == bits).collect();
+                        assert_eq!(got, want, "col {gc} of {dim}/{dr} {enc:?}");
+                    }
                 }
             }
         }

@@ -144,6 +144,11 @@ impl Windows {
         self.parts.iter().map(|(window, _, _)| window.len()).max().unwrap_or(0)
     }
 
+    /// The parts whose window is non-empty, ascending.
+    fn live_parts(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.parts.len()).filter(|&t| !self.parts[t].0.is_empty())
+    }
+
     /// Part `t`'s slot window, its slot count, and the global indices in
     /// the window.
     fn part(&self, t: usize) -> (std::ops::Range<usize>, usize, &[usize]) {
@@ -351,23 +356,26 @@ impl<T: Scalar> DistMatrix<T> {
         let critical = row_win.max_len() * col_win.max_len();
         let col_locals = col.locals();
         let row_locals = row.locals();
-        self.locals_mut().for_each_seg_mut(|node, buf| {
-            let (gr, gc) = grid.grid_coords(node);
+        // Only the grid rows and grid columns whose windows are
+        // non-empty hold any of the active block.
+        let live_cols: Vec<usize> = col_win.live_parts().collect();
+        for gr in row_win.live_parts() {
             let (li_range, _, gi) = row_win.part(gr);
-            let (lj_range, lc, gj) = col_win.part(gc);
-            if gi.is_empty() || gj.is_empty() {
-                return;
-            }
-            let col_chunk = &col_locals[node][li_range.clone()];
-            let row_window = &row_locals[node][lj_range.clone()];
-            for ((li, &i), &c) in li_range.zip(gi).zip(col_chunk) {
-                let base = li * lc;
-                let window = &mut buf[base + lj_range.start..base + lj_range.end];
-                for ((&j, &r), a) in gj.iter().zip(row_window).zip(window.iter_mut()) {
-                    *a = f(i, j, *a, c, r);
+            for &gc in &live_cols {
+                let (lj_range, lc, gj) = col_win.part(gc);
+                let node = grid.node_at(gr, gc);
+                let col_chunk = &col_locals[node][li_range.clone()];
+                let row_window = &row_locals[node][lj_range.clone()];
+                let buf = self.locals_mut().seg_mut(node);
+                for ((li, &i), &c) in li_range.clone().zip(gi).zip(col_chunk) {
+                    let base = li * lc;
+                    let window = &mut buf[base + lj_range.start..base + lj_range.end];
+                    for ((&j, &r), a) in gj.iter().zip(row_window).zip(window.iter_mut()) {
+                        *a = f(i, j, *a, c, r);
+                    }
                 }
             }
-        });
+        }
         hc.charge_flops(2 * critical);
     }
 

@@ -29,17 +29,18 @@ pub fn extract<T: Scalar>(
     let locals = m.locals();
 
     // The concentrated result is built straight into one arena: the
-    // owning grid line's nodes copy their slice of the line, every other
-    // node gets an empty segment.
+    // owning grid line's nodes (`node & mask == bits`, tested before any
+    // other per-node arithmetic) copy their slice of the line, every
+    // other node gets an empty segment.
     match axis {
         Axis::Row => {
             assert!(index < shape.rows, "row {index} out of range 0..{}", shape.rows);
             let gr = layout.rows().owner(index);
             let li = layout.rows().local_index(index);
+            let (mask, bits) = grid.line(Axis::Row, gr);
             let chunks = NodeSlab::build(grid.p(), shape.cols, |node, out| {
-                let (ngr, gc) = grid.grid_coords(node);
-                if ngr == gr {
-                    let lc = layout.cols().count(gc);
+                if node & mask == bits {
+                    let lc = layout.cols().count(grid.grid_coords(node).1);
                     out.extend_from_slice(&locals[node][li * lc..(li + 1) * lc]);
                 }
             });
@@ -57,10 +58,10 @@ pub fn extract<T: Scalar>(
             assert!(index < shape.cols, "column {index} out of range 0..{}", shape.cols);
             let gc = layout.cols().owner(index);
             let lj = layout.cols().local_index(index);
+            let lc = layout.cols().count(gc);
+            let (mask, bits) = grid.line(Axis::Col, gc);
             let chunks = NodeSlab::build(grid.p(), shape.rows, |node, out| {
-                let (_, ngc) = grid.grid_coords(node);
-                if ngc == gc {
-                    let lc = layout.cols().count(gc);
+                if node & mask == bits {
                     out.extend(locals[node].chunks_exact(lc).map(|row| row[lj]));
                 }
             });

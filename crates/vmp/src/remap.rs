@@ -19,7 +19,7 @@
 
 use vmp_hypercube::collective;
 use vmp_hypercube::machine::Hypercube;
-use vmp_hypercube::route::{route_blocks, Block};
+use vmp_hypercube::route::{route_blocks, route_translation, Block};
 use vmp_hypercube::slab::NodeSlab;
 use vmp_layout::{Axis, MatrixLayout, Placement, VecEmbedding, VectorLayout};
 
@@ -64,7 +64,9 @@ pub fn replicate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>) -> DistVector
 
 /// Concentrate an axis-aligned vector onto grid line `line`. From a
 /// replicated embedding this is free — the copies are simply dropped.
-/// From another concentrated line it is one blocked routed move.
+/// From another concentrated line it is one blocked routed move: the
+/// translation `node -> node ^ x`, where `x` is the difference of the two
+/// lines' bits ([`route_translation`]).
 ///
 /// # Panics
 /// Panics on linear vectors.
@@ -74,50 +76,24 @@ pub fn concentrate<T: Scalar>(hc: &mut Hypercube, v: &DistVector<T>, line: usize
         VecEmbedding::Linear => panic!("concentrate applies to axis-aligned vectors only"),
     };
     let new_layout = v.layout().with_placement(Placement::Concentrated(line));
+    let grid = v.layout().grid();
+    let (mask, bits) = grid.line(axis, line);
     match placement {
         Placement::Concentrated(src) if src == line => v.clone(),
         Placement::Replicated => {
             // Free: keep only the target line's copies.
-            let locals =
-                (0..v.locals().p())
-                    .map(|node| {
-                        if new_layout.holds(node) {
-                            v.locals()[node].to_vec()
-                        } else {
-                            Vec::new()
-                        }
-                    })
-                    .collect();
-            DistVector::from_parts(new_layout, locals)
+            let chunks = v.locals();
+            let locals = NodeSlab::build(chunks.p(), v.n(), |node, out| {
+                if node & mask == bits {
+                    out.extend_from_slice(&chunks[node]);
+                }
+            });
+            DistVector::from_slab(new_layout, locals)
         }
         Placement::Concentrated(src_line) => {
-            let grid = v.layout().grid().clone();
-            let parts = match axis {
-                Axis::Row => grid.pc(),
-                Axis::Col => grid.pr(),
-            };
-            let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); grid.p()];
-            for part in 0..parts {
-                let (src, dst) = match axis {
-                    Axis::Row => (grid.node_at(src_line, part), grid.node_at(line, part)),
-                    Axis::Col => (grid.node_at(part, src_line), grid.node_at(part, line)),
-                };
-                outgoing[src].push(Block::new(dst, part as u64, v.locals()[src].to_vec()));
-            }
-            let arrived = route_blocks(hc, outgoing);
-            let locals = arrived
-                .into_iter()
-                .map(
-                    |mut blocks| {
-                        if blocks.is_empty() {
-                            Vec::new()
-                        } else {
-                            blocks.swap_remove(0).data
-                        }
-                    },
-                )
-                .collect();
-            DistVector::from_parts(new_layout, locals)
+            let (_, src_bits) = grid.line(axis, src_line);
+            let locals = route_translation(hc, v.locals(), mask, src_bits, src_bits ^ bits);
+            DistVector::from_slab(new_layout, locals)
         }
     }
 }
@@ -338,6 +314,103 @@ mod tests {
 
     fn grid(dim: u32, dr: u32) -> ProcGrid {
         ProcGrid::new(Cube::new(dim), dr)
+    }
+
+    /// A line-to-line concentrate built as one routed block per source
+    /// node, tagged by its part.
+    fn routed_concentrate<T: Scalar>(
+        hc: &mut Hypercube,
+        v: &DistVector<T>,
+        line: usize,
+    ) -> DistVector<T> {
+        let (axis, src_line) = match v.layout().embedding() {
+            VecEmbedding::Aligned { axis, placement: Placement::Concentrated(l) } => (*axis, *l),
+            other => panic!("line-to-line move expected, got {other:?}"),
+        };
+        let grid = v.layout().grid().clone();
+        let parts = match axis {
+            Axis::Row => grid.pc(),
+            Axis::Col => grid.pr(),
+        };
+        let mut outgoing: Vec<Vec<Block<T>>> = vec![Vec::new(); grid.p()];
+        for part in 0..parts {
+            let (src, dst) = match axis {
+                Axis::Row => (grid.node_at(src_line, part), grid.node_at(line, part)),
+                Axis::Col => (grid.node_at(part, src_line), grid.node_at(part, line)),
+            };
+            outgoing[src].push(Block::new(dst, part as u64, v.locals()[src].to_vec()));
+        }
+        let locals = route_blocks(hc, outgoing)
+            .into_iter()
+            .map(
+                |mut blocks| {
+                    if blocks.is_empty() {
+                        Vec::new()
+                    } else {
+                        blocks.swap_remove(0).data
+                    }
+                },
+            )
+            .collect();
+        DistVector::from_parts(v.layout().with_placement(Placement::Concentrated(line)), locals)
+    }
+
+    #[test]
+    fn line_translation_is_bit_identical_to_routed_blocks() {
+        use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
+        for (dim, dr) in [(2u32, 2u32), (3, 1), (4, 2), (5, 3), (6, 2)] {
+            let g = grid(dim, dr);
+            // Lengths below, at and above the line: empty and ragged chunks.
+            for n in [0usize, 3, 2 * g.p() + 3] {
+                for dist in [Dist::Block, Dist::Cyclic] {
+                    for (axis, lines) in [(Axis::Row, g.pr()), (Axis::Col, g.pc())] {
+                        for (src, dst) in (0..lines).flat_map(|s| (0..lines).map(move |d| (s, d))) {
+                            let layout = VectorLayout::aligned(
+                                n,
+                                g.clone(),
+                                axis,
+                                Placement::Concentrated(src),
+                                dist,
+                            );
+                            let v = DistVector::from_fn(layout, |i| i as f64 - 0.5);
+                            for plan in 0..4 {
+                                let make = || {
+                                    let mut hc = Hypercube::new(dim, CostModel::cm2());
+                                    let faults = match plan {
+                                        1 => Some(FaultPlan::none(2)),
+                                        2 => Some(FaultPlan::none(4).with_drops(0.4, 0, u64::MAX)),
+                                        3 => Some(FaultPlan::none(6).with_link_fault(
+                                            0,
+                                            1 << (dim - 1),
+                                            0,
+                                        )),
+                                        _ => None,
+                                    };
+                                    if let Some(faults) = faults {
+                                        hc.install_faults(faults, ResilientConfig::default());
+                                    }
+                                    hc
+                                };
+                                let (mut h1, mut h2) = (make(), make());
+                                let got = concentrate(&mut h1, &v, dst);
+                                let want = routed_concentrate(&mut h2, &v, dst);
+                                let cell = format!(
+                                    "{dim}/{dr} n {n} {dist:?} {axis:?} {src}->{dst} plan {plan}"
+                                );
+                                got.assert_consistent();
+                                assert_eq!(got, want, "{cell}");
+                                assert_eq!(
+                                    h1.elapsed_us().to_bits(),
+                                    h2.elapsed_us().to_bits(),
+                                    "{cell}"
+                                );
+                                assert_eq!(h1.counters(), h2.counters(), "{cell}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The distributed vector.
 
-use vmp_hypercube::collective::allreduce_slab;
+use vmp_hypercube::collective::allreduce_line;
 use vmp_hypercube::machine::Hypercube;
 use vmp_hypercube::slab::NodeSlab;
-use vmp_layout::{Axis, Placement, VecEmbedding, VectorLayout};
+use vmp_layout::{Placement, VecEmbedding, VectorLayout};
 
 use crate::elem::{ReduceOp, Scalar};
 
@@ -141,8 +141,10 @@ impl<T: Scalar> DistVector<T> {
     }
 
     /// Reduce the whole vector to one scalar with `op`, lifting each
-    /// element through `lift(global_index, value)` first. The result is
-    /// replicated machine-wide (this is a collective and is charged).
+    /// element through `lift(global_index, value)` first. This is a
+    /// collective: the machine is charged for an all-reduce that leaves
+    /// the result on every node, but the host folds only the primary
+    /// grid line and reads only the root value.
     ///
     /// The `lift` hook makes masked reductions free of special cases:
     /// return `op.identity()` for indices outside the range of interest —
@@ -160,7 +162,8 @@ impl<T: Scalar> DistVector<T> {
         self.fold_primary_line(hc, &self.locals, op, |i, v, _| lift(i, v))
     }
 
-    /// Reduce to a scalar with `op` (replicated machine-wide; charged).
+    /// Reduce to a scalar with `op` (charged as a replicated result; see
+    /// [`DistVector::reduce_lifted`]).
     pub fn reduce_all<O: ReduceOp<T>>(&self, hc: &mut Hypercube, op: O) -> T {
         self.reduce_lifted(hc, op, |_, v| v)
     }
@@ -170,7 +173,9 @@ impl<T: Scalar> DistVector<T> {
     /// as soon as it is computed. Payload, clock and counters are
     /// bit-identical to the two-call form; the zip's flops and the
     /// fold's flops are charged as two separate clock adds, as the two
-    /// calls charge them.
+    /// calls charge them. As in [`DistVector::reduce_lifted`], the
+    /// machine is charged for a replicated result, but the host folds
+    /// only the primary grid line and reads only the root value.
     ///
     /// # Panics
     /// Panics unless both vectors share a layout.
@@ -182,7 +187,7 @@ impl<T: Scalar> DistVector<T> {
         op: O,
     ) -> V {
         assert_eq!(self.layout, other.layout, "zip operands must share a layout");
-        hc.charge_flops(self.locals.max_seg_len());
+        hc.charge_flops(self.layout.dist().max_count());
         self.fold_primary_line(hc, &other.locals, op, f)
     }
 
@@ -194,10 +199,12 @@ impl<T: Scalar> DistVector<T> {
     /// folding every replica would count each element once per line,
     /// which is wrong for non-idempotent ops (sum). So only the nodes of
     /// one primary grid line fold (`node & mask == bits`: their bits on
-    /// the orthogonal dims name that line); every other node contributes
-    /// `op.identity()`. The all-reduce over every cube dim then folds
-    /// each chunk exactly once and lands the result on every node. The
-    /// flop charge is the longest chunk, as if every node folded.
+    /// the orthogonal dims name that line); every other node stands for
+    /// `op.identity()`. The machine is charged as if every node folded
+    /// (the longest chunk) and then all-reduced its partial over every
+    /// cube dim; the host folds the line's chunks only and combines
+    /// their partials in that all-reduce's operand order
+    /// ([`allreduce_line`]).
     fn fold_primary_line<W: Scalar, U: Scalar, O: ReduceOp<U>>(
         &self,
         hc: &mut Hypercube,
@@ -206,36 +213,24 @@ impl<T: Scalar> DistVector<T> {
         lift: impl Fn(usize, T, W) -> U,
     ) -> U {
         let grid = self.layout.grid();
+        assert_eq!(grid.p(), hc.p(), "vector and machine sizes differ");
         let (mask, bits) = match self.layout.embedding() {
             VecEmbedding::Linear => (0, 0),
-            VecEmbedding::Aligned { axis, placement } => {
-                let line = match placement {
-                    Placement::Replicated => 0,
-                    Placement::Concentrated(line) => *line,
-                };
-                match axis {
-                    Axis::Row => (grid.cube().dims_mask(grid.row_dims()), grid.node_at(line, 0)),
-                    Axis::Col => (grid.cube().dims_mask(grid.col_dims()), grid.node_at(0, line)),
-                }
+            VecEmbedding::Aligned { axis, placement: Placement::Replicated } => grid.line(*axis, 0),
+            VecEmbedding::Aligned { axis, placement: Placement::Concentrated(line) } => {
+                grid.line(*axis, *line)
             }
         };
-        let p = self.locals.p();
         let dist = self.layout.dist();
-        let mut partials = NodeSlab::build(p, p, |node, out| {
-            let mut acc = op.identity();
-            let buf = &self.locals[node];
-            if node & mask == bits && !buf.is_empty() {
-                let part = self.layout.part_of(node);
-                for (slot, (&x, &y)) in buf.iter().zip(&other[node]).enumerate() {
-                    acc = op.combine(acc, lift(dist.global_index(part, slot), x, y));
-                }
-            }
-            out.push(acc);
-        });
-        hc.charge_flops(self.locals.max_seg_len());
-        let dims: Vec<u32> = grid.cube().iter_dims().collect();
-        allreduce_slab(hc, &mut partials, &dims, |a, b| op.combine(a, b));
-        partials[0][0]
+        hc.charge_flops(dist.max_count());
+        let partial = |node| {
+            let part = self.layout.part_of(node);
+            let pairs = self.locals[node].iter().zip(&other[node]);
+            pairs.enumerate().fold(op.identity(), |acc, (slot, (&x, &y))| {
+                op.combine(acc, lift(dist.global_index(part, slot), x, y))
+            })
+        };
+        allreduce_line(hc, mask, bits, op.identity(), partial, |a, b| op.combine(a, b))
     }
 }
 
@@ -254,7 +249,7 @@ mod tests {
     use crate::elem::{ArgMaxAbs, Loc, Max, Sum};
     use vmp_hypercube::cost::CostModel;
     use vmp_hypercube::topology::Cube;
-    use vmp_layout::{Dist, ProcGrid};
+    use vmp_layout::{Axis, Dist, ProcGrid};
 
     fn grid(dim: u32, dr: u32) -> ProcGrid {
         ProcGrid::new(Cube::new(dim), dr)
@@ -419,6 +414,193 @@ mod tests {
                 assert_eq!(h1.counters(), h2.counters(), "{layout:?}");
             }
         }
+    }
+
+    /// Componentwise sum of a triple, as back substitution folds it.
+    #[derive(Clone, Copy)]
+    struct Sum3;
+
+    impl ReduceOp<(f64, f64, f64)> for Sum3 {
+        fn identity(&self) -> (f64, f64, f64) {
+            (0.0, 0.0, 0.0)
+        }
+        fn combine(&self, a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
+            (a.0 + b.0, a.1 + b.1, a.2 + b.2)
+        }
+    }
+
+    /// Neither commutative nor associative, and its "identity" is not
+    /// one: every operand order, every identity fold and the side the
+    /// identity joins on show in the result bits.
+    #[derive(Clone, Copy)]
+    struct OrderProbe;
+
+    impl ReduceOp<f64> for OrderProbe {
+        fn identity(&self) -> f64 {
+            0.25
+        }
+        fn combine(&self, a: f64, b: f64) -> f64 {
+            a + a + b
+        }
+    }
+
+    /// The scalar reduction built as a slab all-reduce: one partial per
+    /// node (the primary line's nodes fold their chunk, every other node
+    /// holds `op.identity()`), all-reduced over every cube dim, read at
+    /// node 0, after a flop charge of the longest chunk.
+    fn slab_reduce<T: Scalar, U: Scalar, O: ReduceOp<U>>(
+        v: &DistVector<T>,
+        hc: &mut Hypercube,
+        op: O,
+        lift: impl Fn(usize, T) -> U,
+    ) -> U {
+        let grid = v.layout().grid();
+        let (mask, bits) = match v.layout().embedding() {
+            VecEmbedding::Linear => (0, 0),
+            VecEmbedding::Aligned { axis, placement } => {
+                let line = match placement {
+                    Placement::Replicated => 0,
+                    Placement::Concentrated(line) => *line,
+                };
+                match axis {
+                    Axis::Row => (grid.cube().dims_mask(grid.row_dims()), grid.node_at(line, 0)),
+                    Axis::Col => (grid.cube().dims_mask(grid.col_dims()), grid.node_at(0, line)),
+                }
+            }
+        };
+        let dist = v.layout().dist();
+        let mut partials = NodeSlab::build(grid.p(), grid.p(), |node, out| {
+            let mut acc = op.identity();
+            if node & mask == bits {
+                let part = v.layout().part_of(node);
+                for (slot, &x) in v.locals()[node].iter().enumerate() {
+                    acc = op.combine(acc, lift(dist.global_index(part, slot), x));
+                }
+            }
+            out.push(acc);
+        });
+        hc.charge_flops(v.locals().max_seg_len());
+        let dims: Vec<u32> = grid.cube().iter_dims().collect();
+        vmp_hypercube::collective::allreduce_slab(hc, &mut partials, &dims, |a, b| {
+            op.combine(a, b)
+        });
+        partials[0][0]
+    }
+
+    #[test]
+    fn line_fold_is_bit_identical_to_the_slab_allreduce() {
+        use vmp_hypercube::cost::{AlgoPolicy, AlgoSelect};
+        use vmp_hypercube::fault::{FaultPlan, ResilientConfig};
+        use vmp_hypercube::Counters;
+
+        const POLICIES: [AlgoPolicy; 4] = [
+            AlgoPolicy::Auto,
+            AlgoPolicy::ForceSinglePort,
+            AlgoPolicy::ForceAllPort,
+            AlgoPolicy::ForcePipelined,
+        ];
+        // (cost model, policy, transient drops installed)
+        let mut machines = Vec::new();
+        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+            for policy in POLICIES {
+                machines.push((cost, policy, false));
+            }
+            machines.push((cost, AlgoPolicy::Auto, true));
+        }
+        let make = |dim: u32, (cost, policy, drops): (CostModel, AlgoPolicy, bool)| {
+            let mut hc = Hypercube::new(dim, cost);
+            hc.set_algo_select(AlgoSelect { policy, ..AlgoSelect::default() });
+            if drops {
+                let plan = FaultPlan::none(u64::from(dim) + 3).with_drops(0.3, 0, u64::MAX);
+                hc.install_faults(plan, ResilientConfig::default());
+            }
+            hc
+        };
+        // Run `new` and `old` on identical fresh machines; return both
+        // sides' result words, clock bits and counters.
+        type Run<'a> = &'a dyn Fn(&mut Hypercube) -> Vec<u64>;
+        let both = |dim, m, new: Run, old: Run| {
+            let (mut h1, mut h2) = (make(dim, m), make(dim, m));
+            let side = |hc: &mut Hypercube, f: Run| -> (Vec<u64>, u64, Counters) {
+                (f(hc), hc.elapsed_us().to_bits(), *hc.counters())
+            };
+            (side(&mut h1, new), side(&mut h2, old))
+        };
+
+        let mut cells = 0usize;
+        for dim in 0..=7u32 {
+            let mut splits = vec![0, dim / 2, dim];
+            splits.dedup();
+            for dr in splits {
+                let g = grid(dim, dr);
+                let mut layouts = Vec::new();
+                for (k, dist) in [Dist::Block, Dist::Cyclic].into_iter().enumerate() {
+                    // Lengths below and above the line: empty and ragged chunks.
+                    let n = [3usize, 2 * g.p() + 5][k];
+                    layouts.push(VectorLayout::linear(n, g.clone(), dist));
+                    for (axis, lines) in [(Axis::Row, g.pr()), (Axis::Col, g.pc())] {
+                        // The last line: its bits are set on the orthogonal
+                        // dims, so the identity joins it from the left.
+                        for placement in [Placement::Replicated, Placement::Concentrated(lines - 1)]
+                        {
+                            layouts.push(VectorLayout::aligned(
+                                n,
+                                g.clone(),
+                                axis,
+                                placement,
+                                dist,
+                            ));
+                        }
+                    }
+                }
+                for layout in layouts {
+                    // Signed zeros and repeated magnitudes: ties and -0.0.
+                    let v = DistVector::from_fn(layout.clone(), |i| match i % 4 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => -1.5,
+                        _ => 1.5,
+                    });
+                    let sum = |i: usize, x: f64| if i % 5 == 4 { 0.0 } else { x * 0.5 };
+                    let arg = |i: usize, x: f64| Loc::new(x, i);
+                    let tri = |i: usize, x: f64| (x, i as f64 * 0.25, -x);
+                    let words3 =
+                        |t: (f64, f64, f64)| vec![t.0.to_bits(), t.1.to_bits(), t.2.to_bits()];
+                    let cases: [(Run, Run); 5] = [
+                        (&|hc| vec![v.reduce_lifted(hc, Sum, sum).to_bits()], &|hc| {
+                            vec![slab_reduce(&v, hc, Sum, sum).to_bits()]
+                        }),
+                        (&|hc| vec![v.reduce_all(hc, Max).to_bits()], &|hc| {
+                            vec![slab_reduce(&v, hc, Max, |_, x| x).to_bits()]
+                        }),
+                        (
+                            &|hc| {
+                                let l = v.reduce_lifted(hc, ArgMaxAbs, arg);
+                                vec![l.value.to_bits(), l.index as u64]
+                            },
+                            &|hc| {
+                                let l = slab_reduce(&v, hc, ArgMaxAbs, arg);
+                                vec![l.value.to_bits(), l.index as u64]
+                            },
+                        ),
+                        (&|hc| words3(v.reduce_lifted(hc, Sum3, tri)), &|hc| {
+                            words3(slab_reduce(&v, hc, Sum3, tri))
+                        }),
+                        (&|hc| vec![v.reduce_all(hc, OrderProbe).to_bits()], &|hc| {
+                            vec![slab_reduce(&v, hc, OrderProbe, |_, x| x).to_bits()]
+                        }),
+                    ];
+                    for (case, (new, old)) in cases.iter().enumerate() {
+                        for &m in &machines {
+                            let (got, want) = both(dim, m, *new, *old);
+                            assert_eq!(got, want, "case {case} {layout:?} {m:?}");
+                            cells += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, 21 * 10 * 5 * 10, "every cell ran");
     }
 
     #[test]

@@ -212,3 +212,61 @@ fn substitution_fingerprints_are_pinned() {
         "fingerprint recorded before the fused forms"
     );
 }
+
+#[test]
+fn row_interchange_fingerprints_are_pinned() {
+    // Characterisation of the row interchange: pivot-stress systems
+    // swap rows at every even step, so every elimination runs the
+    // extract/insert swap and its line-to-line move, fault-free, under
+    // transient drops and across a dead link. Any change to a payload
+    // bit, the simulated clock or a counter moves the fingerprint.
+    use four_vmp::algos::lu;
+    use four_vmp::hypercube::{CostModel, FaultPlan, ResilientConfig};
+    let mut words = Vec::new();
+    for (n, dim) in [(9usize, 2u32), (14, 4), (20, 5), (16, 6)] {
+        let a = workloads::pivot_stress_matrix(n, 17 + n as u64);
+        let b: Vec<f64> = (0..n).map(|i| 1.0 - 0.25 * i as f64).collect();
+        for cost in [CostModel::cm2(), CostModel::cm2_allport()] {
+            for dist in [Dist::Cyclic, Dist::Block] {
+                for plan in 0..3 {
+                    let mut hc = Hypercube::new(dim, cost);
+                    match plan {
+                        1 => hc.install_faults(
+                            FaultPlan::none(9).with_drops(0.15, 0, u64::MAX),
+                            ResilientConfig::default(),
+                        ),
+                        2 => hc.install_faults(
+                            FaultPlan::none(3).with_link_fault(0, 1 << (dim - 1), 0),
+                            ResilientConfig::default(),
+                        ),
+                        _ => {}
+                    }
+                    let layout = MatrixLayout::new(MatShape::new(n, n + 1), grid(dim), dist, dist);
+                    let mut aug =
+                        DistMatrix::from_fn(layout, |i, j| if j < n { a.get(i, j) } else { b[i] });
+                    let stats = gauss::forward_eliminate(&mut hc, &mut aug).expect("nonsingular");
+                    assert!(stats.row_swaps >= n / 2, "n {n}: {} swaps", stats.row_swaps);
+                    let x = gauss::back_substitute(&mut hc, &aug);
+                    words.extend(run_words(&x, &hc));
+
+                    let layout = MatrixLayout::new(MatShape::new(n, n), grid(dim), dist, dist);
+                    let am = DistMatrix::from_fn(layout, |i, j| a.get(i, j));
+                    let f = lu::lu_factor_dist(&mut hc, &am).expect("nonsingular");
+                    let x = f.solve(&mut hc, &b);
+                    words.extend(run_words(&x, &hc));
+                    let c = hc.counters();
+                    match plan {
+                        1 => assert!(c.transient_drops > 0, "the drop plan fired"),
+                        2 => assert!(c.reroutes > 0, "traffic detoured around the dead link"),
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        fnv1a(words),
+        13_009_438_713_759_594_181,
+        "fingerprint recorded before the line-local primitives"
+    );
+}
